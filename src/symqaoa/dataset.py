@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from symqaoa import __version__
-from symqaoa.errors import InsufficientDataError, InvalidParamsError, ParseError
+from symqaoa.errors import ConstantInputError, InsufficientDataError, InvalidParamsError, ParseError
 from symqaoa.features import FEATURE_NAMES, feature_vector
 from symqaoa.graphs import Graph, GraphFamily, generate
 from symqaoa.mlmodel import (
@@ -314,6 +314,22 @@ def _generation_task(args) -> tuple[str, str]:
     return record.id, record_line(record)
 
 
+def _drop_torn_tail(path) -> None:
+    """Cut off an unterminated last line that does not parse, as a killed run
+    leaves it, so that its instance is generated again; end one that parses."""
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        tail = data[data.rfind(b"\n") + 1 :]
+        if not tail:
+            return
+        try:
+            parse_record(tail.decode("utf-8"))
+        except (ParseError, UnicodeDecodeError):
+            fh.truncate(len(data) - len(tail))
+        else:
+            fh.write(b"\n")
+
+
 def run_generation(
     config: DatasetConfig, path, workers: int = 1, timing: bool = False, progress=None
 ) -> int:
@@ -324,6 +340,7 @@ def run_generation(
     """
     done = set()
     if os.path.exists(path):
+        _drop_torn_tail(path)
         done = {rec.id for rec in load_dataset(path)}
     pending = [f for f in config.families if family_label(f) not in done]
     tasks = [(f, config, timing) for f in pending]
@@ -463,14 +480,17 @@ def feature_correlations(
     Features that are constant on the dataset report nan."""
     x, y, _ = _design(records)
     finite = np.isfinite(y)
-    out = []
-    for j, name in enumerate(FEATURE_NAMES):
-        try:
-            r = pearson_r(x[finite, j], y[finite])
-        except Exception:
-            r = math.nan
-        out.append((name, r))
-    return tuple(out)
+    return tuple(
+        (name, _pearson_or_nan(x[finite, j], y[finite])) for j, name in enumerate(FEATURE_NAMES)
+    )
+
+
+def _pearson_or_nan(a, b) -> float:
+    """pearson_r, or nan for a constant input or fewer than two rows."""
+    try:
+        return pearson_r(a, b)
+    except (ConstantInputError, InvalidParamsError):
+        return math.nan
 
 
 def train_models(
@@ -518,12 +538,6 @@ def train_models(
     reg_train, ens_train = predictions(train_recs)
     reg_test, ens_test = predictions(test_recs)
 
-    def safe_pearson(a, b) -> float:
-        try:
-            return pearson_r(a, b)
-        except Exception:
-            return math.nan
-
     scatter = tuple(
         (rec.id, rec.family, rec.n, rec.p_min, float(reg), float(ens))
         for rec, reg, ens in zip(test_recs, reg_test, ens_test)
@@ -544,8 +558,8 @@ def train_models(
         reg_test_err=median_abs_err(y_test[fin_test], reg_test[fin_test]),
         ens_train_err=median_abs_err(y_train[fin_train], ens_train[fin_train]),
         ens_test_err=median_abs_err(y_test[fin_test], ens_test[fin_test]),
-        reg_test_pearson=safe_pearson(y_test[fin_test], reg_test[fin_test]),
-        ens_test_pearson=safe_pearson(y_test[fin_test], ens_test[fin_test]),
+        reg_test_pearson=_pearson_or_nan(y_test[fin_test], reg_test[fin_test]),
+        ens_test_pearson=_pearson_or_nan(y_test[fin_test], ens_test[fin_test]),
         scatter=scatter,
     )
     return predictor, report

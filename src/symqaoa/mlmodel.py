@@ -5,6 +5,8 @@ regressor, and an ordinal ensemble of binary "is p_min below c?" kernel
 logistic classifiers whose standardized decision scores are quadratically
 fit against the cutoffs to locate the sign change. Censored depths enter the
 ensemble as the top class and are excluded from regression.
+The classifiers of one (gamma, fold) share one kernel and train together in
+one batched descent, as do the classifiers of a final ensemble.
 """
 
 from __future__ import annotations
@@ -60,19 +62,13 @@ class Standardizer:
         return (np.asarray(x, dtype=np.float64) - self.means) / self.stds
 
 
-def rbf(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    """exp(-gamma * squared distance)."""
-    if gamma <= 0:
-        raise InvalidParamsError(f"kernel width must be positive, got {gamma}")
-    d = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    return float(np.exp(-gamma * (d @ d)))
-
-
 def kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     if gamma <= 0:
         raise InvalidParamsError(f"kernel width must be positive, got {gamma}")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise InvalidParamsError(f"need rows of equal feature counts, got {a.shape} and {b.shape}")
     sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-gamma * sq)
@@ -95,53 +91,69 @@ def train_regressor(x: np.ndarray, y: np.ndarray, gamma: float, lam: float) -> K
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or len(x) != len(y) or len(y) < 1:
         raise InvalidParamsError("need matching non-empty X and y")
+    weights, bias = _ridge_solve(kernel_matrix(x, x, gamma), y, lam)
+    return KernelModel(x.copy(), weights, float(gamma), float(lam), bias)
+
+
+def _ridge_solve(k: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
     if lam < 0:
         raise InvalidParamsError(f"regularization must be >= 0, got {lam}")
     bias = float(y.mean())
-    k = kernel_matrix(x, x, gamma)
-    k[np.diag_indices_from(k)] += lam
     try:
-        weights = np.linalg.solve(k, y - bias)
+        return np.linalg.solve(k + lam * np.eye(len(k)), y - bias), bias
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"kernel system is singular: {exc}") from exc
-    return KernelModel(x.copy(), weights, float(gamma), float(lam), bias)
 
 
 def predict_regressor(model: KernelModel, x: np.ndarray) -> float | np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     rows = x[None, :] if single else x
-    if rows.shape[1] != model.support.shape[1]:
-        raise InvalidParamsError(
-            f"expected {model.support.shape[1]} features, got {rows.shape[1]}"
-        )
     vals = kernel_matrix(rows, model.support, model.gamma) @ model.weights + model.bias
     return float(vals[0]) if single else vals
 
 
-def _train_logistic(x: np.ndarray, t: np.ndarray, gamma: float, lam: float) -> KernelModel:
-    """Kernel logistic regression by full-batch descent on the function values:
-    alpha step = (1/m)(p - t) + lam*alpha. The K-preconditioned step keeps the
-    iteration stable for every lam in the grid at step 0.1, unlike the raw dual
-    gradient K[(1/m)(p - t) + lam*alpha], whose curvature grows with ||K||.
-    """
-    m = len(t)
-    k = kernel_matrix(x, x, gamma)
-    alpha = np.zeros(m)
-    bias = 0.0
+def _train_classifiers(k: np.ndarray, y: np.ndarray, cutoffs, lams):
+    """Kernel logistic classifiers of "y < c", one per (lambda, c) in
+    lambda-major columns, for each cutoff c that splits y; the others are
+    dropped with a warning. Censored labels (+inf) fall above every cutoff.
+    Full-batch descent on the function values: alpha step = (1/m)(p - t) +
+    lam*alpha. The K-preconditioned step keeps the iteration stable for every
+    lam in the grid at step 0.1, unlike the raw dual gradient
+    K[(1/m)(p - t) + lam*alpha], whose curvature grows with ||K||. The columns
+    share K, so a step is one K @ alpha product. Returns the retained cutoffs,
+    the weight columns, the biases and each column's training-score spread
+    (1 where it is 0)."""
+    retained = []
+    for c in cutoffs:
+        below = y < c
+        if below.all() or not below.any():
+            warnings.warn(f"cutoff {c} does not split the labels; dropped", stacklevel=3)
+        else:
+            retained.append(int(c))
+    if len(retained) < 3:
+        raise DegenerateLabelsError(
+            f"only {len(retained)} cutoff(s) split the labels; need 3 for the quadratic fit"
+        )
+    targets = np.tile(y[:, None] < np.array(retained), len(lams)).astype(np.float64)
+    lam_cols = np.repeat(np.asarray(lams, dtype=np.float64), len(retained))
+    m = len(k)
+    alpha = np.zeros(targets.shape)
+    bias = np.zeros(targets.shape[1])
     for _ in range(LOGISTIC_ITERS):
-        logits = k @ alpha + bias
-        probs = 1.0 / (1.0 + np.exp(-logits))
-        resid = (probs - t) / m
-        alpha -= LOGISTIC_STEP * (resid + lam * alpha)
-        bias -= LOGISTIC_STEP * float(resid.sum())
-    return KernelModel(x.copy(), alpha, float(gamma), float(lam), float(bias))
+        probs = 1.0 / (1.0 + np.exp(-(k @ alpha + bias)))
+        resid = (probs - targets) / m
+        alpha -= LOGISTIC_STEP * (resid + lam_cols * alpha)
+        bias -= LOGISTIC_STEP * resid.sum(axis=0)
+    sigmas = (k @ alpha + bias).std(axis=0)
+    return tuple(retained), alpha, bias, np.where(sigmas > 0, sigmas, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
 class OrdinalEnsemble:
     """One binary classifier per retained cutoff c (positive score = p_min < c),
-    plus the training-score scale for standardized distances."""
+    plus the training-score scale for standardized distances. The classifiers
+    share their support points and gamma."""
 
     cutoffs: tuple[int, ...]
     models: tuple[KernelModel, ...]
@@ -166,39 +178,27 @@ def train_ordinal(
     finite = y[np.isfinite(y)]
     if len(finite) == 0:
         raise DegenerateLabelsError("all depths are censored; nothing to order")
-    retained: list[int] = []
-    models: list[KernelModel] = []
-    sigmas: list[float] = []
-    for c in cutoffs:
-        t = (y < c).astype(np.float64)
-        if t.min() == t.max():
-            warnings.warn(f"cutoff {c} does not split the labels; dropped", stacklevel=2)
-            continue
-        model = _train_logistic(x, t, gamma, lam)
-        scores = kernel_matrix(x, model.support, gamma) @ model.weights + model.bias
-        sigma = float(scores.std())
-        retained.append(int(c))
-        models.append(model)
-        sigmas.append(sigma if sigma > 0 else 1.0)
-    if len(retained) < 3:
-        raise DegenerateLabelsError(
-            f"only {len(retained)} cutoff(s) split the labels; need 3 for the quadratic fit"
-        )
+    k = kernel_matrix(x, x, gamma)
+    retained, alpha, bias, sigmas = _train_classifiers(k, y, cutoffs, (lam,))
+    support = x.copy()
+    models = tuple(
+        KernelModel(support, w.copy(), float(gamma), float(lam), float(b))
+        for w, b in zip(alpha.T, bias)
+    )
     return OrdinalEnsemble(
-        tuple(retained),
-        tuple(models),
-        tuple(sigmas),
-        float(finite.min()),
-        float(max(retained)),
+        retained, models, tuple(sigmas.tolist()), float(finite.min()), float(max(retained))
     )
 
 
 def ordinal_scores(ens: OrdinalEnsemble, x: np.ndarray) -> np.ndarray:
-    """Standardized decision scores d_z, one per retained cutoff."""
+    """Standardized decision scores d_z, one per retained cutoff, from one
+    kernel row of the query against the shared support points."""
     x = np.asarray(x, dtype=np.float64)
-    return np.array(
-        [predict_regressor(m, x) / s for m, s in zip(ens.models, ens.sigmas)]
-    )
+    first = ens.models[0]
+    weights = np.column_stack([m.weights for m in ens.models])
+    biases = np.array([m.bias for m in ens.models])
+    row = kernel_matrix(x[None, :], first.support, first.gamma)[0]
+    return (row @ weights + biases) / np.array(ens.sigmas)
 
 
 def predict_ordinal(ens: OrdinalEnsemble, x: np.ndarray) -> float:
@@ -208,8 +208,12 @@ def predict_ordinal(ens: OrdinalEnsemble, x: np.ndarray) -> float:
     second-class majority or a tie gives the top-class marker."""
     if len(ens.cutoffs) < 3:
         raise InsufficientDataError(f"need >= 3 cutoffs, have {len(ens.cutoffs)}")
-    d_z = ordinal_scores(ens, x)
-    cut = np.array(ens.cutoffs, dtype=np.float64)
+    return _ordinal_root(ordinal_scores(ens, x), ens.cutoffs, ens.y_min, ens.top_class)
+
+
+def _ordinal_root(d_z: np.ndarray, cutoffs, y_min: float, top_class: float) -> float:
+    """predict_ordinal's crossing or vote for the scores d_z."""
+    cut = np.array(cutoffs, dtype=np.float64)
     a, b, c0 = np.polyfit(cut, d_z, 2)
     lo, hi = cut[0], cut[-1]
     candidates: list[float] = []
@@ -219,8 +223,10 @@ def predict_ordinal(ens: OrdinalEnsemble, x: np.ndarray) -> float:
     else:
         disc = b * b - 4.0 * a * c0
         if disc >= 0.0:
-            sq = math.sqrt(disc)
-            for r in ((-b - sq) / (2 * a), (-b + sq) / (2 * a)):
+            # q/a and c0/q are the two roots without the cancellation of
+            # -b + sqrt(disc) that loses the root when a is near zero
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            for r in (q / a, c0 / q) if q != 0.0 else ():
                 if 2 * a * r + b > 0.0:
                     candidates.append(r)
     for r in candidates:
@@ -228,8 +234,8 @@ def predict_ordinal(ens: OrdinalEnsemble, x: np.ndarray) -> float:
             return float(r)
     positive = int((d_z > 0).sum())
     if positive > len(d_z) - positive:
-        return ens.y_min
-    return ens.top_class
+        return y_min
+    return top_class
 
 
 def pearson_r(x, y) -> float:
@@ -371,6 +377,40 @@ def stratified_folds(families, n_folds: int, seed) -> list[np.ndarray]:
     return [np.flatnonzero(assignment == f) for f in range(n_folds)]
 
 
+def _grid_search(x, y, families, seed, n_folds, gammas, lams, fit_fold):
+    """The loop of both cross-validations: one standardizer per fold, one kernel
+    per (gamma, fold), and fit_fold(k_train, k_held, y_train, lams) giving the
+    held-out predictions, one column per lambda. Rows with y = +inf train but
+    are not scored."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if len(x) < n_folds:
+        raise InsufficientDataError(f"need at least {n_folds} rows, got {len(x)}")
+    scored = np.isfinite(y)
+    if not scored.any():
+        raise DegenerateLabelsError("all depths are censored; nothing to score")
+    best = (math.inf, None, None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        folds = []
+        for held in stratified_folds(families, n_folds, seed):
+            if len(held):
+                train = np.setdiff1d(np.arange(len(y)), held)
+                std = Standardizer.fit(x[train])
+                folds.append((held, std.apply(x[train]), std.apply(x[held]), y[train]))
+        for gamma in gammas:
+            preds = np.empty((len(y), len(lams)))
+            for held, z_train, z_held, y_train in folds:
+                k_train = kernel_matrix(z_train, z_train, gamma)
+                k_held = kernel_matrix(z_held, z_train, gamma)
+                preds[held] = fit_fold(k_train, k_held, y_train, lams)
+            for j, lam in enumerate(lams):
+                err = median_abs_err(preds[scored, j], y[scored])
+                if err < best[0]:
+                    best = (err, gamma, lam)
+    return best[1], best[2], best[0]
+
+
 def cross_validate(
     x: np.ndarray,
     y: np.ndarray,
@@ -383,27 +423,12 @@ def cross_validate(
     """Pick (gamma, lambda) for the regressor by pooled held-out median absolute
     error over family-stratified folds; ties keep the earliest grid entry.
     Returns (gamma, lambda, best error)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(x) < n_folds:
-        raise InsufficientDataError(f"need at least {n_folds} rows, got {len(x)}")
-    folds = [f for f in stratified_folds(families, n_folds, seed) if len(f)]
-    best = (math.inf, None, None)
-    for gamma in gammas:
-        for lam in lams:
-            preds = np.empty(len(y))
-            for fold in folds:
-                train_mask = np.ones(len(y), dtype=bool)
-                train_mask[fold] = False
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    std = Standardizer.fit(x[train_mask])
-                    model = train_regressor(std.apply(x[train_mask]), y[train_mask], gamma, lam)
-                preds[fold] = predict_regressor(model, std.apply(x[fold]))
-            err = median_abs_err(preds, y)
-            if err < best[0]:
-                best = (err, gamma, lam)
-    return best[1], best[2], best[0]
+
+    def fit_fold(k_train, k_held, y_train, lams):
+        fits = [_ridge_solve(k_train, y_train, lam) for lam in lams]
+        return np.column_stack([k_held @ weights + bias for weights, bias in fits])
+
+    return _grid_search(x, y, families, seed, n_folds, gammas, lams, fit_fold)
 
 
 def cross_validate_ordinal(
@@ -420,30 +445,12 @@ def cross_validate_ordinal(
     held-out predictions. Censored rows (y = +inf) train each fold but stay out
     of the error pool; the classifiers need far less shrinkage than the ridge
     regressor, so reusing its (gamma, lambda) is not an option."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(x) < n_folds:
-        raise InsufficientDataError(f"need at least {n_folds} rows, got {len(x)}")
-    folds = [f for f in stratified_folds(families, n_folds, seed) if len(f)]
-    finite = np.isfinite(y)
-    if not finite.any():
-        raise DegenerateLabelsError("all depths are censored; nothing to score")
-    best = (math.inf, None, None)
-    for gamma in gammas:
-        for lam in lams:
-            preds = np.empty(len(y))
-            for fold in folds:
-                train_mask = np.ones(len(y), dtype=bool)
-                train_mask[fold] = False
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    std = Standardizer.fit(x[train_mask])
-                    ens = train_ordinal(
-                        std.apply(x[train_mask]), y[train_mask], gamma, lam, cutoffs=cutoffs
-                    )
-                held = std.apply(x[fold])
-                preds[fold] = [predict_ordinal(ens, q) for q in held]
-            err = median_abs_err(preds[finite], y[finite])
-            if err < best[0]:
-                best = (err, gamma, lam)
-    return best[1], best[2], best[0]
+
+    def fit_fold(k_train, k_held, y_train, lams):
+        # every (lambda, cutoff) classifier of the fold trains in one descent
+        retained, alpha, bias, sigmas = _train_classifiers(k_train, y_train, cutoffs, lams)
+        d_z = ((k_held @ alpha + bias) / sigmas).reshape(len(k_held), len(lams), len(retained))
+        y_min, top = float(y_train[np.isfinite(y_train)].min()), float(max(retained))
+        return np.array([[_ordinal_root(d, retained, y_min, top) for d in row] for row in d_z])
+
+    return _grid_search(x, y, families, seed, n_folds, gammas, lams, fit_fold)

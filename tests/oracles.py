@@ -130,3 +130,25 @@ def ridge_fit_predict(x_train, y_train, x_query, gamma, lam):
         )
         preds.append(float(kq @ alpha) + mean)
     return np.array(preds)
+
+
+def rbf(x, y, gamma: float) -> float:
+    """exp(-gamma * squared distance) for one pair of points."""
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return math.exp(-gamma * float(d @ d))
+
+
+def logistic_fit(k, t, lam, iters, step):
+    """One kernel logistic classifier on a precomputed kernel, by the
+    K-preconditioned full-batch descent, one matrix-vector product a step.
+    Returns (dual weights, bias)."""
+    m = len(t)
+    alpha = np.zeros(m)
+    bias = 0.0
+    for _ in range(iters):
+        logits = k @ alpha + bias
+        probs = 1.0 / (1.0 + np.exp(-logits))
+        resid = (probs - t) / m
+        alpha -= step * (resid + lam * alpha)
+        bias -= step * float(resid.sum())
+    return alpha, bias

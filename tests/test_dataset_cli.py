@@ -185,6 +185,32 @@ def test_generation_resume_and_determinism(tmp_path):
         assert rec.seconds is None
 
 
+def test_generation_resumes_after_torn_tail(tmp_path):
+    path = tmp_path / "tiny.jsonl"
+    run_generation(TINY, path)
+    whole = path.read_bytes()
+    last = whole[whole.rstrip(b"\n").rfind(b"\n") + 1 :]
+    # a kill mid-write leaves part of the last record and no newline: that
+    # line is cut off and its instance generated again
+    path.write_bytes(whole[: -len(last) // 2])
+    assert run_generation(TINY, path) == 1
+    assert path.read_bytes() == whole
+    # a whole record that lost only its newline is kept and terminated
+    path.write_bytes(whole[:-1])
+    assert run_generation(TINY, path) == 0
+    assert path.read_bytes() == whole
+
+
+def test_generation_rejects_corrupt_middle_line(tmp_path):
+    path = tmp_path / "tiny.jsonl"
+    run_generation(TINY, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1][: len(lines[1]) // 2] + b"\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError, match=r"tiny\.jsonl:2"):
+        run_generation(TINY, path)
+
+
 def test_generation_parallel_matches_serial(tmp_path):
     serial = tmp_path / "serial.jsonl"
     parallel = tmp_path / "parallel.jsonl"

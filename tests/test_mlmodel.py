@@ -14,6 +14,9 @@ from symqaoa.errors import (
     SingularSystemError,
 )
 from symqaoa.mlmodel import (
+    LAMBDA_GRID,
+    LOGISTIC_ITERS,
+    LOGISTIC_STEP,
     OrdinalEnsemble,
     PminPredictor,
     Standardizer,
@@ -26,11 +29,11 @@ from symqaoa.mlmodel import (
     pearson_r,
     predict_ordinal,
     predict_regressor,
-    rbf,
     save_model,
     stratified_folds,
     train_ordinal,
     train_regressor,
+    _train_classifiers,
 )
 
 
@@ -55,11 +58,11 @@ def test_standardizer_constant_column():
 
 
 def test_rbf_values():
-    assert rbf([0.0, 0.0], [0.0, 0.0], 1.0) == 1.0
-    assert rbf([1.0, 0.0], [0.0, 0.0], 0.5) == pytest.approx(math.exp(-0.5))
-    assert rbf([1.0, 2.0], [4.0, 6.0], 0.1) == pytest.approx(math.exp(-2.5))
+    assert oracles.rbf([0.0, 0.0], [0.0, 0.0], 1.0) == 1.0
+    assert oracles.rbf([1.0, 0.0], [0.0, 0.0], 0.5) == pytest.approx(math.exp(-0.5))
+    assert oracles.rbf([1.0, 2.0], [4.0, 6.0], 0.1) == pytest.approx(math.exp(-2.5))
     with pytest.raises(InvalidParamsError):
-        rbf([1.0], [1.0], 0.0)
+        kernel_matrix(np.ones((1, 1)), np.ones((1, 1)), 0.0)
 
 
 def test_kernel_matrix_matches_pairwise():
@@ -69,7 +72,7 @@ def test_kernel_matrix_matches_pairwise():
     k = kernel_matrix(a, b, 0.7)
     for i in range(5):
         for j in range(4):
-            assert k[i, j] == pytest.approx(rbf(a[i], b[j], 0.7), abs=1e-14)
+            assert k[i, j] == pytest.approx(oracles.rbf(a[i], b[j], 0.7), abs=1e-14)
 
 
 def test_regressor_interpolates_at_zero_ridge():
@@ -102,6 +105,29 @@ def test_regressor_validation():
     model = train_regressor(np.eye(3), np.arange(3.0), 1.0, 0.1)
     with pytest.raises(InvalidParamsError):
         predict_regressor(model, np.zeros(4))
+
+
+def test_batched_logistic_matches_per_classifier_oracle():
+    # every (lambda, cutoff) column of one batched descent must reproduce its
+    # own one-classifier descent on the same kernel
+    rng = np.random.default_rng(11)
+    y = rng.integers(2, 12, size=24).astype(np.float64)
+    y[[3, 17]] = math.inf  # censored rows fall above every cutoff
+    x = y[:, None] / 4.0 + rng.normal(0.0, 0.3, size=(24, 3))
+    x[[3, 17]] = rng.normal(3.0, 0.3, size=(2, 3))
+    k = kernel_matrix(x, x, 0.5)
+    lams = LAMBDA_GRID[:2] + LAMBDA_GRID[-2:]
+    with pytest.warns(UserWarning, match="cutoff 1 does not split"):
+        retained, alpha, bias, sigmas = _train_classifiers(k, y, (1, 4, 7, 10), lams)
+    assert retained == (4, 7, 10)
+    assert alpha.shape == (24, len(lams) * len(retained))
+    for j in range(alpha.shape[1]):
+        lam, cutoff = lams[j // len(retained)], retained[j % len(retained)]
+        t = (y < cutoff).astype(np.float64)
+        want_w, want_b = oracles.logistic_fit(k, t, lam, LOGISTIC_ITERS, LOGISTIC_STEP)
+        assert np.max(np.abs(alpha[:, j] - want_w)) <= 1e-12
+        assert abs(bias[j] - want_b) <= 1e-12
+        assert sigmas[j] == pytest.approx((k @ want_w + want_b).std(), abs=1e-12)
 
 
 def two_cluster_data():
@@ -241,6 +267,33 @@ def test_cross_validate_ordinal():
     assert cross_validate_ordinal(x, y, families, seed=1) == (gamma, lam, err)
     with pytest.raises(DegenerateLabelsError):
         cross_validate_ordinal(x, np.full(30, math.inf), families, seed=1)
+
+
+def test_cross_validate_ordinal_matches_separate_fits():
+    # the batched fold loop must score each (gamma, lambda) as separate
+    # train_ordinal fits and predict_ordinal calls per fold do
+    rng = np.random.default_rng(4)
+    y = rng.integers(2, 13, size=25).astype(np.float64)
+    x = y[:, None] / 4.0 + rng.normal(0.0, 0.4, size=(25, 2))
+    y[-2:] = math.inf
+    families = [f"f{i % 3}" for i in range(25)]
+    gammas, lams, cutoffs = (0.1, 1.0), (1e-3, 0.1, 10.0), (4, 7, 10)
+    finite = np.isfinite(y)
+    errs = {}
+    for gamma in gammas:
+        for lam in lams:
+            preds = np.empty(len(y))
+            for fold in stratified_folds(families, 5, seed=2):
+                train = np.setdiff1d(np.arange(len(y)), fold)
+                std = Standardizer.fit(x[train])
+                ens = train_ordinal(std.apply(x[train]), y[train], gamma, lam, cutoffs=cutoffs)
+                preds[fold] = [predict_ordinal(ens, q) for q in std.apply(x[fold])]
+            errs[gamma, lam] = median_abs_err(preds[finite], y[finite])
+    gamma, lam, err = cross_validate_ordinal(
+        x, y, families, seed=2, gammas=gammas, lams=lams, cutoffs=cutoffs
+    )
+    assert errs[gamma, lam] == pytest.approx(err, abs=1e-9)
+    assert err <= min(errs.values()) + 1e-9
 
 
 def build_predictor():
