@@ -158,10 +158,6 @@ class PermGroup:
         return residue == identity_perm(self.n)
 
 
-def group_order(grp: PermGroup) -> int:
-    return grp.order()
-
-
 # Chain internals store permutations as 256-byte translate tables with an
 # identity tail: compose(a, b) is then b.translate(a), a single C call, and the
 # identity-tail padding is closed under composition. Degree is capped at 255.
@@ -260,9 +256,6 @@ class _StabilizerChain:
                     self._complete(level)
                 # sgens[i] is untouched, so the level-i orbit and the already
                 # verified Schreier generators remain valid; keep scanning.
-
-    def transversal_sizes(self) -> list[int]:
-        return [len(t) for t in self.trans]
 
 
 def _orbit_transversal(gens: list[bytes], point: int) -> dict[int, bytes]:
@@ -496,11 +489,6 @@ def iter_elements(grp: PermGroup, cap: int = 10**6):
 
     for table in products(0):
         yield tuple(table[:n])
-
-
-def enumerate_elements(grp: PermGroup, cap: int = 10**6) -> list[Perm]:
-    """Every group element as a list; see iter_elements for the streaming form."""
-    return list(iter_elements(grp, cap=cap))
 
 
 def fixed_bitstring_count(perm: Perm, flipped: bool = False) -> int:

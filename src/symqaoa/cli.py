@@ -8,6 +8,7 @@ Exit codes: 0 ok, 2 invalid input, 3 size or search budget exceeded,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -19,14 +20,13 @@ from symqaoa.autgroup import (
     bitstring_action,
     bitstring_orbits,
     flip_action,
-    group_order,
 )
 from symqaoa.dataset import (
     PAIR_CAP_EDGES,
     DatasetConfig,
     SplitSpec,
     dataset_report,
-    instance_seed,
+    features_with_cap,
     load_dataset,
     run_generation,
     standard_profile,
@@ -39,7 +39,7 @@ from symqaoa.errors import (
     SizeLimitError,
     WorkbenchError,
 )
-from symqaoa.features import FEATURE_NAMES, feature_vector
+from symqaoa.features import FEATURE_NAMES
 from symqaoa.graphs import (
     FAMILY_NAMES,
     NAMED_GRAPHS,
@@ -56,15 +56,14 @@ from symqaoa.schedules import (
     BETA_MAX,
     GAMMA_MAX,
     LinearSchedule,
-    approx_ratio,
+    ScheduleEvaluator,
     find_pmin,
-    max_cut_brute,
     trace_csv,
 )
 from symqaoa.simulator import (
     Angles,
+    Engine,
     check_symmetry_conditions,
-    evolve,
     maxcut_diagonal,
     orbit_spread,
     probabilities_csv,
@@ -191,16 +190,9 @@ def cmd_gen_graphs(args) -> int:
     return 0
 
 
-def _features_with_cap(g: Graph, max_pairs: int, seed: int):
-    # Same subsampling policy as dataset generation, so the CLI and records agree.
-    if g.m > PAIR_CAP_EDGES:
-        return feature_vector(g, max_pairs=max_pairs, seed=instance_seed(seed, "cli", "features"))
-    return feature_vector(g)
-
-
 def cmd_features(args) -> int:
     g = _load_graph(args.graph)
-    fv = _features_with_cap(g, args.max_pairs, args.seed)
+    fv, _ = features_with_cap(g, args.max_pairs, args.seed, "cli")
     values = fv.as_array()
     data = {name: float(v) for name, v in zip(FEATURE_NAMES, values)}
     data.update({"n": g.n, "m": g.m})
@@ -228,13 +220,7 @@ def cmd_pmin(args) -> int:
         "censored": result.censored,
         "ratio_achieved": result.ratio_achieved,
         "optimum_cut": result.optimum_cut,
-        "best_schedule": {
-            "p": s.p,
-            "beta_start": s.beta_start,
-            "beta_end": s.beta_end,
-            "gamma_start": s.gamma_start,
-            "gamma_end": s.gamma_end,
-        },
+        "best_schedule": dataclasses.asdict(s),
     }
     headline = (
         f"censored at p_cap={args.p_cap} (best ratio {result.ratio_achieved:.4f})"
@@ -266,10 +252,11 @@ def _parse_schedule(p: int, text: str) -> LinearSchedule:
 def cmd_simulate(args) -> int:
     g = _load_graph(args.graph)
     schedule = _parse_schedule(args.depth, args.schedule)
-    optimum = max_cut_brute(g)
-    ratio = approx_ratio(g, schedule)
+    ev = ScheduleEvaluator(g)
+    optimum = ev.optimum
+    ratio = ev.ratio_of(schedule.p, schedule.endpoints())
     if args.probs:
-        state = evolve(maxcut_diagonal(g), schedule.expand())
+        state = Engine(maxcut_diagonal(g)).statevector(schedule.expand())
         with open(args.probs, "w", encoding="utf-8") as fh:
             fh.write(probabilities_csv(state))
     expect = ratio * optimum
@@ -309,7 +296,7 @@ def cmd_verify(args) -> int:
     betas = tuple(rng.uniform(0.0, BETA_MAX, args.depth))
     gammas = tuple(rng.uniform(0.0, GAMMA_MAX, args.depth))
     diag = maxcut_diagonal(g)
-    state = evolve(diag, Angles(betas, gammas))
+    state = Engine(diag).statevector(Angles(betas, gammas))
     grp = automorphism_generators(g)
     orbits = bitstring_orbits(grp, include_global_flip=True)
     spread = orbit_spread(state, orbits)
@@ -333,7 +320,7 @@ def cmd_verify(args) -> int:
         "probability_spread": spread.probability,
         "amplitude_spread": spread.amplitude,
         "orbits": orbits.n_orbits,
-        "group_order": group_order(grp) * 2,
+        "group_order": grp.order() * 2,
         "conditions_checked": checked,
         "conditions_ok": conditions_ok,
         "ok": ok,
@@ -394,7 +381,7 @@ def cmd_predict(args) -> int:
     predictor = load_model(args.model)
     if args.graph:
         g = _load_graph(args.graph)
-        feats = _features_with_cap(g, 2000, args.seed).as_array()
+        feats = features_with_cap(g, 2000, args.seed, "cli")[0].as_array()
     else:
         parts = args.features.split(",")
         if len(parts) != len(FEATURE_NAMES):

@@ -3,6 +3,7 @@ train/test splits, model training, and text reports."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -97,60 +98,19 @@ class InstanceRecord:
         return LinearSchedule(**self.best_schedule)
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "family": self.family,
-            "params": dict(self.params),
-            "graph_seed": self.graph_seed,
-            "n": self.n,
-            "edges": [list(e) for e in self.edges],
-            "optimum_cut": self.optimum_cut,
-            "features": list(self.features),
-            "p_min": self.p_min,
-            "censored": self.censored,
-            "ratio_achieved": self.ratio_achieved,
-            "best_schedule": dict(self.best_schedule),
-            "target_ratio": self.target_ratio,
-            "p_start": self.p_start,
-            "p_cap": self.p_cap,
-            "restarts": self.restarts,
-            "pmin_seed": self.pmin_seed,
-            "feature_seed": self.feature_seed,
-            "software_version": self.software_version,
-            "schema_version": self.schema_version,
-            "seconds": self.seconds,
-        }
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "InstanceRecord":
         try:
             if data["schema_version"] != SCHEMA_VERSION:
                 raise ParseError(f"unsupported schema version {data['schema_version']}")
-            return InstanceRecord(
-                id=data["id"],
-                family=data["family"],
-                params=dict(data["params"]),
-                graph_seed=data["graph_seed"],
-                n=data["n"],
-                edges=tuple((int(u), int(v)) for u, v in data["edges"]),
-                optimum_cut=data["optimum_cut"],
-                features=tuple(float(v) for v in data["features"]),
-                p_min=data["p_min"],
-                censored=data["censored"],
-                ratio_achieved=data["ratio_achieved"],
-                best_schedule=dict(data["best_schedule"]),
-                target_ratio=data["target_ratio"],
-                p_start=data["p_start"],
-                p_cap=data["p_cap"],
-                restarts=data["restarts"],
-                pmin_seed=data["pmin_seed"],
-                feature_seed=data["feature_seed"],
-                software_version=data["software_version"],
-                schema_version=data["schema_version"],
-                seconds=data["seconds"],
-            )
+            values = {f.name: data[f.name] for f in dataclasses.fields(InstanceRecord)}
         except KeyError as exc:
             raise ParseError(f"record missing field {exc}") from exc
+        values["edges"] = tuple((int(u), int(v)) for u, v in values["edges"])
+        values["features"] = tuple(float(v) for v in values["features"])
+        return InstanceRecord(**values)
 
 
 def record_line(record: InstanceRecord) -> str:
@@ -170,15 +130,19 @@ def parse_record(line: str) -> InstanceRecord:
 
 def load_dataset(path) -> list[InstanceRecord]:
     """Read a JSONL dataset file, skipping blank lines."""
-    records = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(parse_record(line))
-            except ParseError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        return _parse_lines(fh, path)
+
+
+def _parse_lines(lines, path) -> list[InstanceRecord]:
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(parse_record(line))
+        except ParseError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return records
 
 
@@ -255,6 +219,16 @@ def instance_seed(base_seed: int, instance_id: str, purpose: str) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def features_with_cap(g: Graph, max_pairs: int, base_seed: int, instance_id: str):
+    """Feature vector and the seed of its two-edge deletion sample: graphs with
+    more than PAIR_CAP_EDGES edges average over max_pairs sampled pairs, the
+    rest over every pair, with seed None."""
+    if g.m > PAIR_CAP_EDGES:
+        feature_seed = instance_seed(base_seed, instance_id, "features")
+        return feature_vector(g, max_pairs=max_pairs, seed=feature_seed), feature_seed
+    return feature_vector(g), None
+
+
 def generate_instance(
     fam: GraphFamily, config: DatasetConfig, timing: bool = False
 ) -> InstanceRecord:
@@ -262,12 +236,7 @@ def generate_instance(
     start = time.perf_counter()
     iid = family_label(fam)
     g = generate(fam)
-    if g.m > PAIR_CAP_EDGES:
-        feature_seed = instance_seed(config.seed, iid, "features")
-        fv = feature_vector(g, max_pairs=config.max_pairs, seed=feature_seed)
-    else:
-        feature_seed = None
-        fv = feature_vector(g)
+    fv, feature_seed = features_with_cap(g, config.max_pairs, config.seed, iid)
     pmin_seed = instance_seed(config.seed, iid, "pmin")
     result = find_pmin(
         g,
@@ -277,7 +246,6 @@ def generate_instance(
         restarts=config.restarts,
         seed=pmin_seed,
     )
-    sched = result.best_schedule
     return InstanceRecord(
         id=iid,
         family=fam.name,
@@ -290,13 +258,7 @@ def generate_instance(
         p_min=result.p_min,
         censored=result.censored,
         ratio_achieved=result.ratio_achieved,
-        best_schedule={
-            "p": sched.p,
-            "beta_start": sched.beta_start,
-            "beta_end": sched.beta_end,
-            "gamma_start": sched.gamma_start,
-            "gamma_end": sched.gamma_end,
-        },
+        best_schedule=dataclasses.asdict(result.best_schedule),
         target_ratio=config.target_ratio,
         p_start=config.p_start,
         p_cap=config.p_cap,
@@ -314,20 +276,40 @@ def _generation_task(args) -> tuple[str, str]:
     return record.id, record_line(record)
 
 
-def _drop_torn_tail(path) -> None:
-    """Cut off an unterminated last line that does not parse, as a killed run
-    leaves it, so that its instance is generated again; end one that parses."""
+def _resume_ids(path, config: DatasetConfig) -> set[str]:
+    """Ids of the records in a file being resumed.
+
+    Every record must carry this config's search settings, or the file would
+    mix labels of different targets; otherwise InvalidParamsError is raised
+    before the file changes. An unterminated last line, as a killed run leaves
+    it, is cut off if it does not parse, so that its instance is generated
+    again, and ended with its newline if it does.
+    """
     with open(path, "rb+") as fh:
         data = fh.read()
-        tail = data[data.rfind(b"\n") + 1 :]
-        if not tail:
-            return
-        try:
-            parse_record(tail.decode("utf-8"))
-        except (ParseError, UnicodeDecodeError):
-            fh.truncate(len(data) - len(tail))
-        else:
+        body = data[: data.rfind(b"\n") + 1]
+        tail = data[len(body) :]
+        records = _parse_lines(body.decode("utf-8").split("\n"), path)
+        torn = False
+        if tail:
+            try:
+                records.append(parse_record(tail.decode("utf-8")))
+            except (ParseError, UnicodeDecodeError):
+                torn = True
+        for rec in records:
+            stored = (rec.target_ratio, rec.p_start, rec.p_cap, rec.restarts, rec.pmin_seed)
+            wanted = (config.target_ratio, config.p_start, config.p_cap, config.restarts,
+                      instance_seed(config.seed, rec.id, "pmin"))
+            if stored != wanted:
+                raise InvalidParamsError(
+                    f"{path}: record {rec.id!r} has (target_ratio, p_start, p_cap, restarts, "
+                    f"pmin_seed) = {stored}, this run would use {wanted}"
+                )
+        if torn:
+            fh.truncate(len(body))
+        elif tail:
             fh.write(b"\n")
+    return {rec.id for rec in records}
 
 
 def run_generation(
@@ -336,12 +318,10 @@ def run_generation(
     """Append records for every configured instance not already in the file.
 
     Records land in config order regardless of worker count, one flushed line
-    each, so an interrupted run resumes cleanly. Returns the number written.
+    each, so an interrupted run resumes cleanly. Resuming a file made under
+    other search settings raises InvalidParamsError. Returns the number written.
     """
-    done = set()
-    if os.path.exists(path):
-        _drop_torn_tail(path)
-        done = {rec.id for rec in load_dataset(path)}
+    done = _resume_ids(path, config) if os.path.exists(path) else set()
     pending = [f for f in config.families if family_label(f) not in done]
     tasks = [(f, config, timing) for f in pending]
     written = 0

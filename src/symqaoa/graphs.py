@@ -214,10 +214,7 @@ def trivial_aut_graph(n: int, k: int, seed: int, max_tries: int = 3000) -> Graph
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         sub = int(rng.integers(0, 2**63 - 1))
-        try:
-            g = random_regular(n, k, sub)
-        except InvalidParamsError:
-            raise
+        g = random_regular(n, k, sub)
         if not automorphism_generators(g).generators:
             return g
     raise InvalidParamsError(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,13 +20,12 @@ from .autgroup import (
     PermGroup,
     automorphism_generators,
     bitstring_orbits,
-    cycle_lengths,
     iter_elements,
     fixed_bitstring_count,
 )
 from .errors import InvalidParamsError, NotInvariantError, SizeLimitError
 from .graphs import Graph
-from .simulator import Angles, CostDiagonal, StateVector
+from .simulator import CostDiagonal, StateVector
 
 ENUMERATION_CAP = 8 * 10**6
 ORBIT_N_CAP = 20
@@ -217,37 +215,26 @@ def hamming_reduced_ops(n: int) -> ReducedOperators:
     return ReducedOperators(cost, mixer, init)
 
 
-class ReducedResult(NamedTuple):
-    amplitudes: np.ndarray
-    expectation: float
-
-
 class ReducedEngine:
-    """Reusable reduced-space simulator; the mixer eigendecomposition is computed
-    once and shared across angle evaluations."""
+    """Reusable reduced-space simulator with the protocol of simulator.Engine;
+    values holds the cost of every orbit, and the mixer eigendecomposition is
+    computed once and shared across angle evaluations."""
 
     def __init__(self, ops: ReducedOperators):
         self.ops = ops
+        self.values = ops.cost_diag
         self._w, self._v = ops.mixer_eig()
 
     def run(self, betas, gammas) -> np.ndarray:
-        ops = self.ops
-        amps = ops.init.astype(np.complex128)
+        amps = self.ops.init.astype(np.complex128)
         for beta, gamma in zip(betas, gammas):
-            amps *= np.exp(-1j * gamma * ops.cost_diag)
+            amps *= np.exp(-1j * gamma * self.values)
             amps = self._v @ (np.exp(-1j * beta * self._w) * (self._v.T @ amps))
         return amps
 
     def expectation(self, betas, gammas) -> float:
         amps = self.run(betas, gammas)
-        return float((amps.real**2 + amps.imag**2) @ self.ops.cost_diag)
-
-
-def reduced_evolve(ops: ReducedOperators, angles: Angles) -> ReducedResult:
-    """Alternating phase and exact mixer exponential in the reduced space."""
-    amps = ReducedEngine(ops).run(angles.betas, angles.gammas)
-    expect = float((amps.real**2 + amps.imag**2) @ ops.cost_diag)
-    return ReducedResult(amps, expect)
+        return float((amps.real**2 + amps.imag**2) @ self.values)
 
 
 def lift(amplitudes: np.ndarray, basis: OrbitBasis) -> StateVector:

@@ -24,7 +24,7 @@ from .reduced import (
     hamming_reduced_ops,
     reduce_operators,
 )
-from .simulator import MAX_QUBITS, Angles, Engine, maxcut_diagonal
+from .simulator import MAX_QUBITS, Angles, Engine, cut_counts, maxcut_diagonal
 
 BETA_MAX = math.pi
 GAMMA_MAX = 2.0 * math.pi
@@ -45,13 +45,21 @@ class LinearSchedule:
         if self.p < 1:
             raise InvalidParamsError(f"depth must be >= 1, got {self.p}")
 
+    def endpoints(self) -> tuple[float, float, float, float]:
+        return (self.beta_start, self.beta_end, self.gamma_start, self.gamma_end)
+
     def expand(self) -> Angles:
         """Per-layer angles; p = 1 uses the start values alone."""
-        if self.p == 1:
-            return Angles((self.beta_start,), (self.gamma_start,))
-        betas = np.linspace(self.beta_start, self.beta_end, self.p)
-        gammas = np.linspace(self.gamma_start, self.gamma_end, self.p)
-        return Angles(tuple(betas), tuple(gammas))
+        return Angles(*layer_angles(self.p, self.endpoints()))
+
+
+def layer_angles(p: int, params) -> tuple:
+    """Per-layer (betas, gammas) of the linear schedule whose endpoints are
+    params = (beta_start, beta_end, gamma_start, gamma_end); p = 1 uses the
+    start values alone."""
+    if p == 1:
+        return params[0:1], params[2:3]
+    return np.linspace(params[0], params[1], p), np.linspace(params[2], params[3], p)
 
 
 def max_cut_brute(g: Graph) -> int:
@@ -62,11 +70,8 @@ def max_cut_brute(g: Graph) -> int:
     best = 0
     chunk = 1 << 22
     for lo in range(0, total, chunk):
-        x = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        cuts = np.zeros(len(x), dtype=np.int64)
-        for u, v in g.edges:
-            cuts += ((x >> u) ^ (x >> v)) & 1
-        best = max(best, int(cuts.max()) if len(cuts) else 0)
+        cuts = cut_counts(g, np.arange(lo, min(lo + chunk, total), dtype=np.int64))
+        best = max(best, int(cuts.max()))
     return best
 
 
@@ -88,33 +93,27 @@ def make_engine(g: Graph):
 
 
 class ScheduleEvaluator:
-    """Engine plus exact optimum for one graph, reused across many schedules."""
+    """Engine plus exact optimum for one graph, reused across many schedules.
+
+    Every cut value is an entry of the engine's values (reduce_operators checks
+    that the cost is constant on each orbit), so the optimum is their maximum.
+    """
 
     def __init__(self, g: Graph):
-        self.graph = g
-        self.optimum = max_cut_brute(g)
-        if self.optimum == 0:
+        if g.m == 0:
             raise InvalidParamsError("graph has no edges; approximation ratio undefined")
+        if g.n > MAX_QUBITS:
+            raise SizeLimitError(f"exact evaluation needs n <= {MAX_QUBITS}, got {g.n}")
+        self.graph = g
         self.engine = make_engine(g)
+        self.optimum = int(self.engine.values.max())
 
-    def ratio_of(self, p: int, params: np.ndarray) -> float:
-        if p == 1:
-            betas = params[0:1]
-            gammas = params[2:3]
-        else:
-            betas = np.linspace(params[0], params[1], p)
-            gammas = np.linspace(params[2], params[3], p)
-        return self.engine.expectation(betas, gammas) / self.optimum
-
-    def ratio(self, schedule: LinearSchedule) -> float:
-        params = np.array(
-            [schedule.beta_start, schedule.beta_end, schedule.gamma_start, schedule.gamma_end]
-        )
-        return self.ratio_of(schedule.p, params)
+    def ratio_of(self, p: int, params) -> float:
+        return self.engine.expectation(*layer_angles(p, params)) / self.optimum
 
 
 def approx_ratio(g: Graph, schedule: LinearSchedule) -> float:
-    return ScheduleEvaluator(g).ratio(schedule)
+    return ScheduleEvaluator(g).ratio_of(schedule.p, schedule.endpoints())
 
 
 def _initial_simplex(x0: np.ndarray) -> np.ndarray:

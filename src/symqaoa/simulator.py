@@ -83,21 +83,27 @@ def format_bitstring(x: int, n: int) -> str:
     return "".join("1" if (x >> i) & 1 else "0" for i in range(n))
 
 
+def cut_counts(g: Graph, x: np.ndarray) -> np.ndarray:
+    """Number of edges cut by each assignment in the int64 array x."""
+    cuts = np.zeros(len(x), dtype=np.int64)
+    for u, v in g.edges:
+        cuts += ((x >> u) ^ (x >> v)) & 1
+    return cuts
+
+
 def maxcut_diagonal(g: Graph) -> CostDiagonal:
     """values[x] = number of edges cut by the assignment x."""
     if g.n > MAX_QUBITS:
         raise SizeLimitError(f"statevector path needs n <= {MAX_QUBITS}, got {g.n}")
-    x = np.arange(1 << g.n, dtype=np.int64)
-    vals = np.zeros(1 << g.n, dtype=np.int64)
-    for u, v in g.edges:
-        vals += ((x >> u) ^ (x >> v)) & 1
-    return CostDiagonal(g.n, vals.astype(np.float64))
+    cuts = cut_counts(g, np.arange(1 << g.n, dtype=np.int64))
+    return CostDiagonal(g.n, cuts.astype(np.float64))
 
 
 class Engine:
     """Reusable simulator bound to one cost diagonal; buffers are allocated once
     so repeated evaluations (optimizer inner loop) do not churn memory. Not safe
-    for concurrent use of a single instance.
+    for concurrent use of a single instance. Shares run, expectation and values
+    (the cost of every basis state) with reduced.ReducedEngine.
     """
 
     def __init__(self, diag: CostDiagonal):
@@ -159,11 +165,6 @@ class Engine:
     def expectation(self, betas, gammas) -> float:
         amps = self.run(betas, gammas)
         return float((amps.real**2 + amps.imag**2) @ self.values)
-
-
-def evolve(diag: CostDiagonal, angles: Angles) -> StateVector:
-    """Alternating phase/mixer evolution from the uniform superposition."""
-    return Engine(diag).statevector(angles)
 
 
 def probabilities(state: StateVector) -> np.ndarray:

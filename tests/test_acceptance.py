@@ -54,7 +54,7 @@ from symqaoa.reduced import (
     reduce_operators,
     symmetry_group,
 )
-from symqaoa.simulator import Angles, Engine, evolve, expectation, maxcut_diagonal, orbit_spread
+from symqaoa.simulator import Angles, Engine, expectation, maxcut_diagonal, orbit_spread
 
 
 def note(num: int, ok: bool, detail: str) -> None:
@@ -99,7 +99,7 @@ def test_criterion_01_orbit_invariance():
     for i in range(50):
         _, g = pool[i % len(pool)]
         angles = random_angles(rng, int(rng.integers(1, 5)))
-        state = evolve(maxcut_diagonal(g), angles)
+        state = Engine(maxcut_diagonal(g)).statevector(angles)
         orbits = bitstring_orbits(automorphism_generators(g), include_global_flip=True)
         spread = orbit_spread(state, orbits)
         worst_prob = max(worst_prob, spread.probability)
@@ -150,7 +150,7 @@ def test_criterion_03_reduced_matches_full():
         n = int(rng.integers(2, 13))
         angles = random_angles(rng, int(rng.integers(1, 7)))
         values = maxcut_diagonal(complete(n))
-        full = expectation(evolve(values, angles), values)
+        full = expectation(Engine(values).statevector(angles), values)
         red = ReducedEngine(hamming_reduced_ops(n)).expectation(angles.betas, angles.gammas)
         worst_hamming = max(worst_hamming, abs(full - red))
     pool = family_pool()
@@ -162,7 +162,7 @@ def test_criterion_03_reduced_matches_full():
         basis = build_orbit_basis(g, include_flip=bool(rng.integers(0, 2)))
         ops = reduce_operators(values, basis)
         red = ReducedEngine(ops).expectation(angles.betas, angles.gammas)
-        full = expectation(evolve(values, angles), values)
+        full = expectation(Engine(values).statevector(angles), values)
         worst_generic = max(worst_generic, abs(full - red))
     ok = worst_hamming < 1e-9 and worst_generic < 1e-9
     note(
@@ -272,7 +272,7 @@ def test_criterion_09_speed_budgets(records):
     angles = random_angles(np.random.default_rng(1009), 10)
     values = maxcut_diagonal(random_regular(16, 3, seed=4))
     start = time.perf_counter()
-    evolve(values, angles)
+    Engine(values).statevector(angles)
     evolve_s = time.perf_counter() - start
     worst_aut = 0.0
     for rec in records:

@@ -16,10 +16,8 @@ from symqaoa.autgroup import (
     color_refine,
     compose,
     cycle_lengths,
-    enumerate_elements,
     fixed_bitstring_count,
     flip_action,
-    group_order,
     identity_perm,
     inverse,
     is_automorphism,
@@ -111,7 +109,7 @@ KNOWN_ORDERS = [
 def test_known_automorphism_orders():
     for g, want in KNOWN_ORDERS:
         grp = automorphism_generators(g)
-        assert group_order(grp) == want, (g.n, g.m, want)
+        assert grp.order() == want, (g.n, g.m, want)
         for perm in grp.generators:
             assert is_automorphism(g, perm)
         assert len(grp.generators) <= g.n * g.n
@@ -128,15 +126,15 @@ def test_search_matches_brute_force_on_random_graphs():
         g = Graph.from_edges(n, edges)
         brute = oracles.brute_automorphisms(n, g.edges)
         grp = automorphism_generators(g)
-        assert group_order(grp) == len(brute), (trial, n, edges)
-        assert set(enumerate_elements(grp)) == set(brute)
+        assert grp.order() == len(brute), (trial, n, edges)
+        assert set(list(iter_elements(grp))) == set(brute)
 
 
 def test_contains_and_chain_order():
     grp = automorphism_generators(named("petersen"))
     chain = grp.chain()
     assert chain.order() == 120
-    for perm in enumerate_elements(grp):
+    for perm in list(iter_elements(grp)):
         assert grp.contains(perm)
     assert not grp.contains(tuple([1, 0] + list(range(2, 10))))
 
@@ -229,4 +227,4 @@ def test_automorphisms_of_random_regular_are_real():
             assert is_automorphism(g, perm)
         # order divides the brute count for a subgroup; here it must be exact,
         # so spot-check via the orbit-stabilizer product being an integer
-        assert group_order(grp) >= 1
+        assert grp.order() >= 1

@@ -1,5 +1,6 @@
 """Dataset pipeline and command-line behavior, including spec'd exit codes."""
 
+import dataclasses
 import json
 import math
 
@@ -209,6 +210,23 @@ def test_generation_rejects_corrupt_middle_line(tmp_path):
     path.write_bytes(b"".join(lines))
     with pytest.raises(ParseError, match=r"tiny\.jsonl:2"):
         run_generation(TINY, path)
+
+
+def test_generation_refuses_other_settings(tmp_path):
+    path = tmp_path / "tiny.jsonl"
+    run_generation(TINY, path)
+    whole = path.read_bytes()
+    last = whole[whole.rstrip(b"\n").rfind(b"\n") + 1 :]
+    # one instance is still missing, and the last file also has a torn tail
+    for partial in (whole[: -len(last)], whole[: -len(last) // 2]):
+        path.write_bytes(partial)
+        for change in ({"target_ratio": 0.99}, {"p_start": 2}, {"p_cap": 4},
+                       {"restarts": 3}, {"seed": 12}):
+            with pytest.raises(InvalidParamsError, match="complete-n3"):
+                run_generation(dataclasses.replace(TINY, **change), path)
+            assert path.read_bytes() == partial
+    assert run_generation(TINY, path) == 1
+    assert path.read_bytes() == whole
 
 
 def test_generation_parallel_matches_serial(tmp_path):

@@ -17,7 +17,6 @@ from symqaoa.reduced import (
     hamming_reduced_ops,
     quotient_dimension,
     reduce_operators,
-    reduced_evolve,
     lift,
     symmetry_group,
 )
@@ -104,14 +103,14 @@ def test_reduced_evolution_matches_full(graph, flip):
     ops = reduce_operators(diag, basis)
     assert basis.dim < (1 << graph.n)
     angles = random_angles(rng, 2)
-    result = reduced_evolve(ops, angles)
+    reduced = ReducedEngine(ops)
     full = Engine(diag)
-    assert result.expectation == pytest.approx(
+    assert reduced.expectation(angles.betas, angles.gammas) == pytest.approx(
         full.expectation(angles.betas, angles.gammas), abs=1e-11
     )
     # the full evolution never leaves the symmetric subspace, so the lifted
     # reduced state is the full state itself
-    lifted = lift(result.amplitudes, basis)
+    lifted = lift(reduced.run(angles.betas, angles.gammas), basis)
     assert np.allclose(lifted.amplitudes, full.statevector(angles).amplitudes, atol=1e-11)
 
 
@@ -120,7 +119,7 @@ def test_hamming_matches_full_k12():
     angles = random_angles(rng, 3)
     ops = hamming_reduced_ops(12)
     want = Engine(maxcut_diagonal(complete(12))).expectation(angles.betas, angles.gammas)
-    assert reduced_evolve(ops, angles).expectation == pytest.approx(want, abs=1e-11)
+    assert ReducedEngine(ops).expectation(angles.betas, angles.gammas) == pytest.approx(want, abs=1e-11)
 
 
 def test_reduced_engine_preserves_norm():

@@ -26,13 +26,15 @@ EDGE = Graph.from_edges(2, [(0, 1)])
 
 
 def test_max_cut_brute_known_values():
-    assert max_cut_brute(complete(3)) == 2
-    assert max_cut_brute(complete(4)) == 4
-    assert max_cut_brute(cycle(5)) == 4
-    assert max_cut_brute(star(6)) == 5
-    assert max_cut_brute(named("petersen")) == 12
     k33 = Graph.from_edges(6, [(u, v + 3) for u in range(3) for v in range(3)])
-    assert max_cut_brute(k33) == 9
+    # the evaluator reads the optimum off its engine: the Hamming ladder for
+    # complete graphs, the orbit basis, and the full statevector for cycle(17)
+    known = [(complete(3), 2), (complete(4), 4), (cycle(5), 4), (star(6), 5),
+             (named("petersen"), 12), (k33, 9), (cycle(17), 16)]
+    for g, want in known:
+        assert max_cut_brute(g) == want
+        assert ScheduleEvaluator(g).optimum == want
+    assert isinstance(ScheduleEvaluator(cycle(17)).engine, Engine)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -41,7 +43,9 @@ def test_max_cut_matches_oracle(seed):
     n = rng.randint(3, 8)
     pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = rng.sample(pool, rng.randint(1, len(pool)))
-    assert max_cut_brute(Graph.from_edges(n, edges)) == oracles.brute_maxcut(n, edges)
+    g = Graph.from_edges(n, edges)
+    assert max_cut_brute(g) == oracles.brute_maxcut(n, edges)
+    assert ScheduleEvaluator(g).optimum == oracles.brute_maxcut(n, edges)
 
 
 def test_schedule_expand():
@@ -94,6 +98,13 @@ def test_optimizer_validation():
         optimize_linear(EDGE, p=1, restarts=0, seed=0)
     with pytest.raises(InvalidParamsError):
         ScheduleEvaluator(Graph.from_edges(3, []))
+
+
+def test_evaluator_size_limit():
+    # the Hamming ladder alone would accept K27; the evaluator keeps the
+    # statevector limit of the exact optimum
+    with pytest.raises(SizeLimitError):
+        ScheduleEvaluator(complete(27))
 
 
 def test_find_pmin_single_edge():

@@ -22,7 +22,6 @@ from symqaoa.simulator import (
     Engine,
     StateVector,
     check_symmetry_conditions,
-    evolve,
     expectation,
     format_bitstring,
     maxcut_diagonal,
@@ -67,7 +66,7 @@ def test_evolve_matches_dense_oracle(seed):
     pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = rng.sample(pool, rng.randint(1, len(pool)))
     angles = random_angles(rng, rng.randint(1, 3))
-    state = evolve(maxcut_diagonal(Graph.from_edges(n, edges)), angles)
+    state = Engine(maxcut_diagonal(Graph.from_edges(n, edges))).statevector(angles)
     want = oracles.dense_evolve(n, edges, angles.betas, angles.gammas)
     assert np.allclose(state.amplitudes, want, atol=1e-12, rtol=0)
 
@@ -78,7 +77,7 @@ def test_evolve_float_costs_match_dense():
     n = 4
     vals = np.array([rng.uniform(0, 3) for _ in range(1 << n)])
     angles = random_angles(rng, 2)
-    state = evolve(CostDiagonal(n, vals), angles)
+    state = Engine(CostDiagonal(n, vals)).statevector(angles)
     dim = 1 << n
     want = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
     eye = np.eye(2, dtype=complex)
@@ -106,7 +105,7 @@ def test_expectation_paths_agree():
     rng = random.Random(11)
     diag = maxcut_diagonal(wheel(6))
     angles = random_angles(rng, 2)
-    state = evolve(diag, angles)
+    state = Engine(diag).statevector(angles)
     probs = probabilities(state)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     direct = Engine(diag).expectation(angles.betas, angles.gammas)
@@ -122,7 +121,7 @@ def test_orbit_invariance_of_evolution(graph):
     rng = random.Random(graph.n * 37 + graph.m)
     diag = maxcut_diagonal(graph)
     orbits = bitstring_orbits(automorphism_generators(graph), include_global_flip=True)
-    state = evolve(diag, random_angles(rng, 3))
+    state = Engine(diag).statevector(random_angles(rng, 3))
     spread = orbit_spread(state, orbits)
     assert spread.probability < 1e-12
     assert spread.amplitude < 1e-12
