@@ -66,7 +66,7 @@ from symqaoa.simulator import (
     check_symmetry_conditions,
     maxcut_diagonal,
     orbit_spread,
-    probabilities_csv,
+    probability_rows,
 )
 
 SPREAD_TOLERANCE = 1e-8
@@ -256,9 +256,10 @@ def cmd_simulate(args) -> int:
     optimum = ev.optimum
     ratio = ev.ratio_of(schedule.p, schedule.endpoints())
     if args.probs:
-        state = Engine(maxcut_diagonal(g)).statevector(schedule.expand())
+        engine = ev.engine if isinstance(ev.engine, Engine) else Engine(maxcut_diagonal(g))
+        state = engine.statevector(schedule.expand())
         with open(args.probs, "w", encoding="utf-8") as fh:
-            fh.write(probabilities_csv(state))
+            fh.writelines(probability_rows(state))
     expect = ratio * optimum
     data = {"expectation": expect, "optimum_cut": optimum, "ratio": ratio}
     _emit(data, args.json, [

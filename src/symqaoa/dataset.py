@@ -106,10 +106,12 @@ class InstanceRecord:
             if data["schema_version"] != SCHEMA_VERSION:
                 raise ParseError(f"unsupported schema version {data['schema_version']}")
             values = {f.name: data[f.name] for f in dataclasses.fields(InstanceRecord)}
+            values["edges"] = tuple((int(u), int(v)) for u, v in values["edges"])
+            values["features"] = tuple(float(v) for v in values["features"])
         except KeyError as exc:
             raise ParseError(f"record missing field {exc}") from exc
-        values["edges"] = tuple((int(u), int(v)) for u, v in values["edges"])
-        values["features"] = tuple(float(v) for v in values["features"])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"record has malformed edges or features: {exc}") from exc
         return InstanceRecord(**values)
 
 

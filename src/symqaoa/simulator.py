@@ -17,6 +17,8 @@ from .errors import InvalidParamsError, NotBijectionError, SizeLimitError
 from .graphs import Graph
 
 MAX_QUBITS = 26
+# bytes one engine or cost diagonal may allocate; SizeLimitError above it
+MEMORY_BUDGET = 3 << 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +93,20 @@ def cut_counts(g: Graph, x: np.ndarray) -> np.ndarray:
     return cuts
 
 
+def _check_memory(nbytes: int, what: str) -> None:
+    if nbytes > MEMORY_BUDGET:
+        raise SizeLimitError(
+            f"{what} needs {nbytes / 2**30:.2f} GiB, above the "
+            f"{MEMORY_BUDGET / 2**30:.2f} GiB budget"
+        )
+
+
 def maxcut_diagonal(g: Graph) -> CostDiagonal:
     """values[x] = number of edges cut by the assignment x."""
     if g.n > MAX_QUBITS:
         raise SizeLimitError(f"statevector path needs n <= {MAX_QUBITS}, got {g.n}")
+    # indices, counts and two per-edge shifts, 8 bytes each
+    _check_memory(32 << g.n, f"the cut diagonal of n={g.n}")
     cuts = cut_counts(g, np.arange(1 << g.n, dtype=np.int64))
     return CostDiagonal(g.n, cuts.astype(np.float64))
 
@@ -104,67 +116,84 @@ class Engine:
     so repeated evaluations (optimizer inner loop) do not churn memory. Not safe
     for concurrent use of a single instance. Shares run, expectation and values
     (the cost of every basis state) with reduced.ReducedEngine.
+
+    A cost with f(x) = f(~x), such as every MaxCut cost, keeps a[x] = a[~x] from
+    the uniform start, so only the states with the top bit clear are simulated;
+    the top qubit's mixer then pairs x with ~x, the reversed half. Every
+    amplitude gets (a * c) + (a_partner * ms), so the halved and full layouts
+    give bit-identical amplitudes.
     """
 
     def __init__(self, diag: CostDiagonal):
         self.n = diag.n
         self.size = 1 << diag.n
         self.values = diag.values
-        rounded = np.rint(diag.values)
-        if np.array_equal(rounded, diag.values) and rounded.min() >= 0:
+        # numpy multiplies one-element complex arrays in a scalar loop that
+        # rounds unlike its vector loop, so n = 1 keeps both states
+        self._halved = diag.n > 1 and np.array_equal(diag.values, diag.values[::-1])
+        sim = self.size // 2 if self._halved else self.size
+        # state, phase and scratch (48 bytes a simulated state), integer costs
+        # (8) and the probabilities expectation builds (up to 32)
+        _check_memory(88 * sim, f"the statevector engine for n={self.n}")
+        self._values = diag.values[:sim]
+        rounded = np.rint(self._values)
+        if np.array_equal(rounded, self._values) and rounded.min() >= 0:
             # integer costs: per-layer phases come from a small power table
             self._int_costs = rounded.astype(np.int64)
             self._fmax = int(self._int_costs.max())
         else:
             self._int_costs = None
             self._fmax = 0
-        self._state = np.empty(self.size, dtype=np.complex128)
-        self._phase = np.empty(self.size, dtype=np.complex128)
-        half = max(self.size // 2, 1)
-        self._h0 = np.empty(half, dtype=np.complex128)
-        self._h1 = np.empty(half, dtype=np.complex128)
+        self._state = np.empty(sim, dtype=np.complex128)
+        self._phase = np.empty(sim, dtype=np.complex128)
+        self._buf = np.empty(sim, dtype=np.complex128)
+        # (partner of every amplitude, matching scratch view), one per qubit
+        self._pairs = []
+        for j in range(self.n - 1 if self._halved else self.n):
+            shape = (-1, 2, 1 << j)
+            self._pairs.append(
+                (self._state.reshape(shape)[:, ::-1, :], self._buf.reshape(shape))
+            )
+        if self._halved:
+            self._pairs.append((self._state[::-1], self._buf))
 
     def _apply_phase(self, gamma: float) -> None:
         if self._int_costs is not None:
             table = np.exp(-1j * gamma) ** np.arange(self._fmax + 1)
             np.take(table, self._int_costs, out=self._phase)
         else:
-            np.multiply(self.values, -1j * gamma, out=self._phase)
+            np.multiply(self._values, -1j * gamma, out=self._phase)
             np.exp(self._phase, out=self._phase)
         self._state *= self._phase
 
     def _apply_mixer(self, beta: float) -> None:
         c = math.cos(beta)
         ms = -1j * math.sin(beta)
-        state = self._state
-        for j in range(self.n):
-            half = 1 << j
-            v = state.reshape(-1, 2, half)
-            v0, v1 = v[:, 0, :], v[:, 1, :]
-            t0 = self._h0.reshape(-1, half)
-            t1 = self._h1.reshape(-1, half)
-            np.copyto(t0, v0)
-            v0 *= c
-            np.multiply(v1, ms, out=t1)
-            v0 += t1
-            v1 *= c
-            np.multiply(t0, ms, out=t1)
-            v1 += t1
+        for partner, out in self._pairs:
+            np.multiply(partner, ms, out=out)
+            self._state *= c
+            self._state += self._buf
 
     def run(self, betas, gammas) -> np.ndarray:
-        """Evolved amplitudes in the engine's internal buffer (no copy)."""
+        """Simulated amplitudes in the engine's internal buffer (no copy): the
+        states with the top bit clear when the cost is flip-symmetric, else all
+        2^n."""
         self._state.fill(1.0 / math.sqrt(self.size))
         for beta, gamma in zip(betas, gammas):
             self._apply_phase(gamma)
             self._apply_mixer(beta)
         return self._state
 
+    def _unfold(self, x: np.ndarray) -> np.ndarray:
+        """All 2^n entries, in a new array, from the simulated ones."""
+        return np.concatenate((x, x[::-1]) if self._halved else (x,))
+
     def statevector(self, angles: Angles) -> StateVector:
-        return StateVector(self.n, self.run(angles.betas, angles.gammas).copy())
+        return StateVector(self.n, self._unfold(self.run(angles.betas, angles.gammas)))
 
     def expectation(self, betas, gammas) -> float:
         amps = self.run(betas, gammas)
-        return float((amps.real**2 + amps.imag**2) @ self.values)
+        return float(self._unfold(amps.real**2 + amps.imag**2) @ self.values)
 
 
 def probabilities(state: StateVector) -> np.ndarray:
@@ -227,10 +256,13 @@ def check_symmetry_conditions(mapping, diag: CostDiagonal) -> SymmetryFlags:
     return SymmetryFlags(cost_ok, mixer_ok)
 
 
-def probabilities_csv(state: StateVector) -> str:
-    """'bitstring,probability' lines for every basis state, for plotting."""
+def probability_rows(state: StateVector):
+    """'bitstring,probability' header and one line per basis state, for plotting."""
     probs = probabilities(state)
-    lines = ["bitstring,probability"]
+    yield "bitstring,probability\n"
     for x in range(1 << state.n):
-        lines.append(f"{format_bitstring(x, state.n)},{float(probs[x])!r}")
-    return "\n".join(lines) + "\n"
+        yield f"{format_bitstring(x, state.n)},{float(probs[x])!r}\n"
+
+
+def probabilities_csv(state: StateVector) -> str:
+    return "".join(probability_rows(state))

@@ -152,3 +152,51 @@ def logistic_fit(k, t, lam, iters, step):
         alpha -= step * (resid + lam * alpha)
         bias -= step * float(resid.sum())
     return alpha, bias
+
+
+def strided_evolve(values, betas, gammas) -> np.ndarray:
+    """Full 2^n statevector by the strided per-qubit pair update, operation
+    for operation: integer costs take their phases from a power table, each
+    qubit j updates the pairs (x, x ^ 2^j) as (a * c) + (a_partner * ms). The
+    package engine must match it bit for bit."""
+    values = np.asarray(values, dtype=np.float64)
+    size = len(values)
+    n = size.bit_length() - 1
+    rounded = np.rint(values)
+    int_costs = None
+    if np.array_equal(rounded, values) and rounded.min() >= 0:
+        int_costs = rounded.astype(np.int64)
+    state = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
+    phase = np.empty(size, dtype=np.complex128)
+    h0 = np.empty(max(size // 2, 1), dtype=np.complex128)
+    h1 = np.empty_like(h0)
+    for beta, gamma in zip(betas, gammas):
+        if int_costs is not None:
+            table = np.exp(-1j * gamma) ** np.arange(int(int_costs.max()) + 1)
+            np.take(table, int_costs, out=phase)
+        else:
+            np.multiply(values, -1j * gamma, out=phase)
+            np.exp(phase, out=phase)
+        state *= phase
+        c = math.cos(beta)
+        ms = -1j * math.sin(beta)
+        for j in range(n):
+            half = 1 << j
+            v = state.reshape(-1, 2, half)
+            v0, v1 = v[:, 0, :], v[:, 1, :]
+            t0 = h0.reshape(-1, half)
+            t1 = h1.reshape(-1, half)
+            np.copyto(t0, v0)
+            v0 *= c
+            np.multiply(v1, ms, out=t1)
+            v0 += t1
+            v1 *= c
+            np.multiply(t0, ms, out=t1)
+            v1 += t1
+    return state
+
+
+def strided_expectation(values, betas, gammas) -> float:
+    """<f> of strided_evolve, as one dot product over all 2^n probabilities."""
+    amps = strided_evolve(values, betas, gammas)
+    return float((amps.real**2 + amps.imag**2) @ np.asarray(values, dtype=np.float64))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from symqaoa import simulator
 from symqaoa.cli import main
 from symqaoa.dataset import (
     DatasetConfig,
@@ -25,8 +26,10 @@ from symqaoa.dataset import (
 )
 from symqaoa.errors import InsufficientDataError, InvalidParamsError, ParseError
 from symqaoa.features import feature_vector
-from symqaoa.graphs import GraphFamily, complete
+from symqaoa.graphs import GraphFamily, complete, cycle, trivial_aut_graph, write_edge_list
 from symqaoa.mlmodel import load_model
+from symqaoa.schedules import LinearSchedule
+from symqaoa.simulator import Engine, maxcut_diagonal, probabilities_csv
 
 TINY = DatasetConfig(
     families=(
@@ -120,6 +123,23 @@ def test_record_validation():
     data["schema_version"] = 99
     with pytest.raises(ParseError, match="schema"):
         InstanceRecord.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("edges", 5), ("edges", [[0, "a"]]), ("edges", [[0, 1, 2]]),
+     ("features", ["x"] * 10), ("features", 5), ("features", [[1.0]] * 10)],
+)
+def test_record_rejects_malformed_fields(tmp_path, capsys, field, value):
+    data = json.loads(record_line(make_record(0, "x", 4)))
+    data[field] = value
+    line = json.dumps(data)
+    with pytest.raises(ParseError, match="malformed"):
+        parse_record(line)
+    path = tmp_path / "d.jsonl"
+    path.write_text(line + "\n")
+    assert main(["report", "--dataset", str(path)]) == 2
+    assert "malformed" in capsys.readouterr().err
 
 
 def test_load_dataset_reports_line(tmp_path):
@@ -333,6 +353,28 @@ def test_cli_simulate_single_edge(tmp_path, capsys):
     lines = probs.read_text().splitlines()
     assert lines[0] == "bitstring,probability"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("graph", [complete(2), trivial_aut_graph(12, 3, seed=2)])
+def test_cli_simulate_probs_match_engine(tmp_path, capsys, graph):
+    # K2 is evaluated in its orbit basis, the n = 12 graph by the statevector
+    # engine that --probs reuses; both must write the statevector's CSV bytes
+    path = tmp_path / "g.edges"
+    write_edge_list(graph, path)
+    probs = tmp_path / "probs.csv"
+    assert main(["simulate", str(path), "--depth", "3", "--schedule", "0.3,0.1,0.2,0.6",
+                 "--probs", str(probs)]) == 0
+    schedule = LinearSchedule(3, 0.3, 0.1, 0.2, 0.6)
+    state = Engine(maxcut_diagonal(graph)).statevector(schedule.expand())
+    assert probs.read_bytes() == probabilities_csv(state).encode()
+
+
+def test_cli_simulate_over_memory_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 1 << 20)
+    path = tmp_path / "c17.edges"
+    write_edge_list(cycle(17), path)
+    assert main(["simulate", str(path), "--depth", "1", "--schedule", "0.3,0.1,0.2,0.6"]) == 3
+    assert "budget" in capsys.readouterr().err
 
 
 def test_cli_reduce_complete8(tmp_path, capsys):

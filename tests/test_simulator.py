@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from symqaoa import simulator
 from symqaoa.autgroup import (
     PermGroup,
     automorphism_generators,
@@ -90,6 +91,42 @@ def test_evolve_float_costs_match_dense():
             full = np.kron(full, rot)
         want = full @ want
     assert np.allclose(state.amplitudes, want, atol=1e-12, rtol=0)
+
+
+def _assert_matches_strided(diag, rng):
+    p = rng.randint(1, 12)
+    angles = random_angles(rng, p)
+    eng = Engine(diag)
+    got = eng.statevector(angles).amplitudes
+    want = oracles.strided_evolve(diag.values, angles.betas, angles.gammas)
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    assert eng.expectation(angles.betas, angles.gammas) == oracles.strided_expectation(
+        diag.values, angles.betas, angles.gammas
+    )
+    return eng
+
+
+def test_engine_bit_identical_to_strided_oracle():
+    # the flip-halved contiguous mixer does the same float operations on every
+    # amplitude as the strided full-space update, so nothing may differ
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        density = rng.random()
+        edges = [e for e in pool if rng.random() < density]
+        diag = maxcut_diagonal(Graph.from_edges(n, edges))
+        eng = _assert_matches_strided(diag, rng)
+        assert len(eng.run([0.3], [0.7])) == 2 ** max(n - 1, 1)
+    np_rng = np.random.default_rng(5)
+    for _ in range(50):
+        n = rng.randint(1, 12)
+        vals = np_rng.normal(size=1 << n)
+        flip = rng.random() < 0.5
+        if flip:
+            vals = vals + vals[::-1]  # flip-symmetric float costs
+        eng = _assert_matches_strided(CostDiagonal(n, vals), rng)
+        assert len(eng.run([0.3], [0.7])) == 2 ** (n - 1 if flip and n > 1 else n)
 
 
 def test_single_edge_closed_form():
@@ -190,6 +227,24 @@ def test_input_validation():
     assert Angles(betas=[0.1, 0.2], gammas=[0.3, 0.4]).p == 2
     with pytest.raises(SizeLimitError):
         maxcut_diagonal(Graph.from_edges(27, [(0, 1)]))
+
+
+def test_memory_budget_refuses_before_allocating(monkeypatch):
+    # a cut diagonal takes 32 bytes an amplitude while it is built, the engine
+    # 88 bytes a simulated amplitude: 2^9 of them for a MaxCut cost at n = 10
+    ring = maxcut_diagonal(cycle(10))
+    skewed = CostDiagonal(10, ring.values + (np.arange(1 << 10) & 1))
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 88 << 9)
+    assert len(Engine(ring).run([0.3], [0.7])) == 1 << 9
+    with pytest.raises(SizeLimitError, match="budget"):
+        Engine(skewed)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", (88 << 9) - 1)
+    with pytest.raises(SizeLimitError, match="budget"):
+        Engine(ring)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", (32 << 10) - 1)
+    with pytest.raises(SizeLimitError, match="budget"):
+        maxcut_diagonal(cycle(10))
+    assert simulator.MAX_QUBITS == 26
 
 
 def test_format_bitstring_lsb_first():
