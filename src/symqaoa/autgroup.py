@@ -32,22 +32,6 @@ def inverse(a: Perm) -> Perm:
     return tuple(inv)
 
 
-def cycle_lengths(perm: Perm) -> list[int]:
-    seen = [False] * len(perm)
-    out = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        out.append(length)
-    return out
-
-
 def is_automorphism(g: Graph, perm: Perm) -> bool:
     """Edge preservation both directions (a bijection preserving E preserves non-E too)."""
     if sorted(perm) != list(range(g.n)):
@@ -463,40 +447,72 @@ def bitstring_orbits(grp: PermGroup, include_global_flip: bool = False) -> Bitst
     return BitstringOrbits(n, inv.astype(np.int64), counts.astype(np.int64), reps)
 
 
-def iter_elements(grp: PermGroup, cap: int = 10**6):
-    """Yield every group element exactly once, as Perm tuples.
+# Row cap of the inner table in iter_element_blocks: small blocks keep the
+# working set (and peak memory) of a whole-group pass flat.
+_BLOCK_ROWS = 4096
 
-    Elements are products of stabilizer-chain coset representatives, the
-    deepest level varying slowest, so each comes out once with no dedup set
-    and memory stays at the chain depth. Raises before yielding anything if
-    the order exceeds cap.
+
+def iter_element_blocks(grp: PermGroup, cap: int = 10**6):
+    """Yield every group element exactly once, as uint8 blocks of shape (m, n)
+    whose rows are image tables.
+
+    Elements are products u_0 u_1 ... u_k of stabilizer-chain coset
+    representatives, level 0 varying fastest and the deepest level slowest,
+    so each comes out once with no dedup set. The shallow levels are expanded
+    into one inner table of at most _BLOCK_ROWS rows; each product s of the
+    deep levels then gives the block inner[:, s]. Raises before yielding
+    anything if the order exceeds cap.
     """
     chain = grp.chain()
     order = chain.order()
     if order > cap:
         raise SizeLimitError(f"group order {order} exceeds enumeration cap {cap}")
     n = grp.n
-    reps = [list(t.values()) for t in chain.trans]
+    reps = [
+        np.frombuffer(b"".join(t.values()), dtype=np.uint8).reshape(-1, 256)[:, :n]
+        for t in chain.trans
+    ]
+    inner = np.arange(n, dtype=np.uint8)[None, :]
+    split = 0
+    while split < len(reps) and len(inner) * len(reps[split]) <= _BLOCK_ROWS:
+        # row (u, q) is q composed after u: u's level varies slower than q's
+        inner = inner[:, reps[split]].transpose(1, 0, 2).reshape(-1, n)
+        split += 1
 
-    def products(level: int):
+    def deep(level: int):
         if level == len(reps):
-            yield _IDENT256
+            yield np.arange(n, dtype=np.intp)
             return
-        for suffix in products(level + 1):
+        for suffix in deep(level + 1):
             for u in reps[level]:
-                # table of u composed after suffix: result[i] = u[suffix[i]]
-                yield suffix.translate(u)
+                yield u[suffix]  # u composed after suffix
 
-    for table in products(0):
-        yield tuple(table[:n])
+    for s in deep(split):
+        yield inner[:, s]
 
 
-def fixed_bitstring_count(perm: Perm, flipped: bool = False) -> int:
-    """|{x : a(x) = x}| for the bit action of perm, optionally composed with the
-    global flip. A plain permutation fixes 2^(#cycles) strings; with the flip a
-    cycle of odd length forces x_i != x_i, so any odd cycle kills all of them.
+def iter_elements(grp: PermGroup, cap: int = 10**6):
+    """Yield every group element exactly once, as Perm tuples, in the order of
+    iter_element_blocks."""
+    for block in iter_element_blocks(grp, cap):
+        yield from map(tuple, block.tolist())
+
+
+def cycle_counts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number of cycles c(P) and c(P^2) of every row P of a permutation block.
+
+    Pointer doubling: after k rounds, low[i] is the least of P^t(i) for
+    t < 2^k, so ceil(log2 n) rounds reach around every cycle, and each cycle
+    is counted once, at its least member. P^2 walks the same powers shifted
+    by one round.
     """
-    cycles = cycle_lengths(perm)
-    if flipped and any(length % 2 for length in cycles):
-        return 0
-    return 1 << len(cycles)
+    m, n = block.shape
+    # global indices into the flattened block, so one 1-D gather composes rows
+    power = (block + np.arange(0, m * n, n)[:, None]).ravel()
+    local = np.tile(np.arange(n, dtype=np.uint8), m)
+    low = low2 = local
+    for _ in range((n - 1).bit_length()):
+        low = np.minimum(low, low[power])
+        power = power[power]
+        low2 = np.minimum(low2, low2[power])
+    return (low == local).reshape(m, n).sum(axis=1), (low2 == local).reshape(m, n).sum(axis=1)

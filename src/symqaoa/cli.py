@@ -51,7 +51,7 @@ from symqaoa.graphs import (
     write_edge_list,
 )
 from symqaoa.mlmodel import load_model, save_model
-from symqaoa.reduced import GENERIC_N_CAP, ORBIT_N_CAP, quotient_dimension, symmetry_group
+from symqaoa.reduced import GENERIC_N_CAP, ORBIT_N_CAP, BitstringGroup, quotient_dimension
 from symqaoa.schedules import (
     BETA_MAX,
     GAMMA_MAX,
@@ -272,9 +272,9 @@ def cmd_reduce(args) -> int:
     g = _load_graph(args.graph)
     data = {}
     lines = []
+    perm_group = automorphism_generators(g)  # one search; both groups share its chain
     for flip in (False, True):
-        grp = symmetry_group(g, include_flip=flip)
-        qc = quotient_dimension(grp)
+        qc = quotient_dimension(BitstringGroup(g.n, perm_group, flip))
         key = "flip_on" if flip else "flip_off"
         data[key] = {
             "dim": qc.dim,

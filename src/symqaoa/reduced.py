@@ -9,6 +9,7 @@ graphs at any n. Both assume the uniform initial state.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,8 +21,8 @@ from .autgroup import (
     PermGroup,
     automorphism_generators,
     bitstring_orbits,
-    iter_elements,
-    fixed_bitstring_count,
+    cycle_counts,
+    iter_element_blocks,
 )
 from .errors import InvalidParamsError, NotInvariantError, SizeLimitError
 from .graphs import Graph
@@ -73,6 +74,33 @@ class QuotientCount:
         return len(vals) == 1
 
 
+def _burnside_tally(grp: BitstringGroup) -> tuple[tuple[int, ...], int]:
+    """Fixed bitstrings of every element, the bit permutations in chain order
+    and then, with the flip, each of them composed with the flip; and their
+    exact sum.
+
+    A permutation with c cycles fixes 2^c strings. Composed with the flip, an
+    odd cycle forces a bit to differ from itself, so it fixes none unless all
+    cycles are even, which is when P^2 has twice as many cycles as P.
+    """
+    n = grp.n
+    # 2^c for c cycles; the extra index n + 1 is a flipped element with an odd cycle
+    pow2 = [1 << c for c in range(n + 1)] + [0]
+    shared = np.array(pow2, dtype=object)  # one int object per value
+    plain, flipped = [], []
+    for block in iter_element_blocks(grp.perm_group, cap=ENUMERATION_CAP):
+        c, c2 = cycle_counts(block)
+        plain.append(c.astype(np.uint16))
+        if grp.include_flip:
+            flipped.append(np.where(2 * c == c2, c, n + 1).astype(np.uint16))
+    parts = plain + flipped
+    hist = sum(np.bincount(idx, minlength=n + 2) for idx in parts)
+    total = sum(int(h) * p for h, p in zip(hist, pow2))
+    # a tuple grown from an iterator needs no second full-length buffer
+    counts = tuple(itertools.chain.from_iterable(shared[idx].tolist() for idx in parts))
+    return counts, total
+
+
 def quotient_dimension(grp: BitstringGroup) -> QuotientCount:
     """|B/A| for the bitstring action; exact integers throughout."""
     n = grp.n
@@ -86,20 +114,10 @@ def quotient_dimension(grp: BitstringGroup) -> QuotientCount:
     burnside_avg = None
     fixed_counts = None
     if can_enumerate:
-        counts = []
-        canon: dict[int, int] = {}  # share int objects; big groups repeat few values
-        for perm in iter_elements(grp.perm_group, cap=ENUMERATION_CAP):
-            c = fixed_bitstring_count(perm)
-            counts.append(canon.setdefault(c, c))
-        if grp.include_flip:
-            for perm in iter_elements(grp.perm_group, cap=ENUMERATION_CAP):
-                c = fixed_bitstring_count(perm, flipped=True)
-                counts.append(canon.setdefault(c, c))
-        total = sum(counts)
+        fixed_counts, total = _burnside_tally(grp)
         if total % order:
             raise NotInvariantError("fixed-point total not divisible by group order")
         burnside_avg = total // order
-        fixed_counts = tuple(counts)
     orbit_count = None
     reciprocal_sum = None
     if can_orbit:

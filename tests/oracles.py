@@ -111,6 +111,63 @@ def burnside_count(n, perms, with_flip: bool) -> float:
     return total / elements
 
 
+def cycle_lengths(perm) -> list[int]:
+    """Lengths of the cycles of a permutation in image notation."""
+    seen = [False] * len(perm)
+    out = []
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        out.append(length)
+    return out
+
+
+def fixed_bitstring_count(perm, flipped: bool = False) -> int:
+    """|{x : a(x) = x}| for the bit action of perm, optionally composed with the
+    global flip. A plain permutation fixes 2^(#cycles) strings; with the flip a
+    cycle of odd length forces x_i != x_i, so any odd cycle kills all of them.
+    """
+    cycles = cycle_lengths(perm)
+    if flipped and any(length % 2 for length in cycles):
+        return 0
+    return 1 << len(cycles)
+
+
+def chain_product_elements(grp) -> list[tuple[int, ...]]:
+    """Every element of a permutation group, one at a time: the products of
+    its stabilizer-chain coset representatives (256-byte translate tables from
+    grp.chain().trans), level 0 varying fastest and the deepest level slowest.
+    """
+    reps = [list(t.values()) for t in grp.chain().trans]
+
+    def products(level: int):
+        if level == len(reps):
+            yield bytes(range(256))
+            return
+        for suffix in products(level + 1):
+            for u in reps[level]:
+                # table of u composed after suffix: result[i] = u[suffix[i]]
+                yield suffix.translate(u)
+
+    return [tuple(table[: grp.n]) for table in products(0)]
+
+
+def burnside_fixed_counts(grp, flip: bool) -> tuple[int, ...]:
+    """Fixed bitstrings of every element in chain_product_elements order, then,
+    with the flip, of every element composed with the flip."""
+    elements = chain_product_elements(grp)
+    counts = [fixed_bitstring_count(perm) for perm in elements]
+    if flip:
+        counts += [fixed_bitstring_count(perm, flipped=True) for perm in elements]
+    return tuple(counts)
+
+
 def ridge_fit_predict(x_train, y_train, x_query, gamma, lam):
     """Kernel ridge with an RBF kernel, solved by explicit matrix inverse."""
     x_train = np.asarray(x_train, dtype=float)

@@ -15,8 +15,6 @@ from symqaoa.autgroup import (
     bitstring_orbits,
     color_refine,
     compose,
-    cycle_lengths,
-    fixed_bitstring_count,
     flip_action,
     identity_perm,
     inverse,
@@ -55,7 +53,7 @@ def test_perm_basics():
     assert compose(a, b) == tuple(a[b[i]] for i in range(3))
     assert compose(a, inverse(a)) == identity_perm(3)
     assert compose(inverse(a), a) == identity_perm(3)
-    assert sorted(cycle_lengths((1, 0, 2, 4, 3))) == [1, 2, 2]
+    assert sorted(oracles.cycle_lengths((1, 0, 2, 4, 3))) == [1, 2, 2]
     assert parse_perm_line(perm_to_line(a)) == a
     with pytest.raises(InvalidParamsError):
         parse_perm_line("0 0 1")
@@ -196,12 +194,12 @@ def test_orbit_count_equals_burnside_average():
 
 
 def test_fixed_bitstring_count():
-    assert fixed_bitstring_count((0, 1, 2)) == 8
-    assert fixed_bitstring_count((1, 0, 2)) == 4
+    assert oracles.fixed_bitstring_count((0, 1, 2)) == 8
+    assert oracles.fixed_bitstring_count((1, 0, 2)) == 4
     # flip composed with identity never fixes anything (odd... all cycles length 1)
-    assert fixed_bitstring_count((0, 1, 2), flipped=True) == 0
+    assert oracles.fixed_bitstring_count((0, 1, 2), flipped=True) == 0
     # flip with a 2-cycle fixes strings with complementary bits in the pair
-    assert fixed_bitstring_count((1, 0), flipped=True) == 2
+    assert oracles.fixed_bitstring_count((1, 0), flipped=True) == 2
 
 
 def test_size_limits():

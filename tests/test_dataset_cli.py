@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from symqaoa import simulator
+from symqaoa import autgroup, cli, reduced, simulator
 from symqaoa.cli import main
 from symqaoa.dataset import (
     DatasetConfig,
@@ -387,6 +387,24 @@ def test_cli_reduce_complete8(tmp_path, capsys):
     assert data["flip_on"]["dim"] == 5
     assert data["flip_on"]["routes_agree"] is True
     assert data["flip_on"]["group_order"] == 2 * math.factorial(8)
+
+
+def test_cli_reduce_searches_once(tmp_path, capsys, monkeypatch):
+    # both flip settings share one automorphism search and its stabilizer chain
+    calls = []
+
+    def counting(g, *args, **kwargs):
+        calls.append(g.n)
+        return autgroup.automorphism_generators(g, *args, **kwargs)
+
+    for module in (cli, reduced):
+        monkeypatch.setattr(module, "automorphism_generators", counting)
+    path = petersen_file(tmp_path)
+    capsys.readouterr()
+    assert main(["reduce", str(path), "--json"]) == 0
+    assert calls == [10]
+    data = json.loads(capsys.readouterr().out)
+    assert (data["flip_off"]["dim"], data["flip_on"]["dim"]) == (34, 18)
 
 
 def test_cli_verify(tmp_path, capsys):
