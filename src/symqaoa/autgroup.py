@@ -44,18 +44,6 @@ def is_automorphism(g: Graph, perm: Perm) -> bool:
     return True
 
 
-def perm_to_line(perm: Perm) -> str:
-    """Image notation: 'sigma(0) sigma(1) ...'."""
-    return " ".join(str(x) for x in perm)
-
-
-def parse_perm_line(line: str) -> Perm:
-    perm = tuple(int(tok) for tok in line.split())
-    if sorted(perm) != list(range(len(perm))):
-        raise InvalidParamsError(f"not a permutation: {line!r}")
-    return perm
-
-
 @dataclass(frozen=True)
 class Coloring:
     """Vertex coloring with contiguous color ids; cells come out in color-id order."""

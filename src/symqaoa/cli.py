@@ -22,7 +22,7 @@ from symqaoa.autgroup import (
     flip_action,
 )
 from symqaoa.dataset import (
-    PAIR_CAP_EDGES,
+    MAX_PAIRS,
     DatasetConfig,
     SplitSpec,
     dataset_report,
@@ -101,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fe = sub.add_parser("features", help="the ten symmetry features of a graph")
     fe.add_argument("graph", help="edge-list file")
-    fe.add_argument("--max-pairs", type=int, default=2000,
-                    help=f"two-edge deletion cap, applied when |E| > {PAIR_CAP_EDGES}")
+    fe.add_argument("--max-pairs", type=int, default=MAX_PAIRS,
+                    help="sample this many two-edge deletion pairs when a graph has more")
     fe.add_argument("--json", action="store_true")
     fe.set_defaults(handler=cmd_features)
 
@@ -382,7 +382,7 @@ def cmd_predict(args) -> int:
     predictor = load_model(args.model)
     if args.graph:
         g = _load_graph(args.graph)
-        feats = features_with_cap(g, 2000, args.seed, "cli")[0].as_array()
+        feats = features_with_cap(g, MAX_PAIRS, args.seed, "cli")[0].as_array()
     else:
         parts = args.features.split(",")
         if len(parts) != len(FEATURE_NAMES):

@@ -33,8 +33,8 @@ from symqaoa.schedules import LinearSchedule, find_pmin
 
 SCHEMA_VERSION = 1
 
-# Two-edge deletion pairs are subsampled once a graph has more edges than this.
-PAIR_CAP_EDGES = 60
+# A graph with more two-edge deletion pairs than this samples this many of them.
+MAX_PAIRS = 2000
 
 # Direction each feature is expected to correlate with the minimum depth:
 # highly symmetric instances need shallower circuits, so the symmetry
@@ -52,6 +52,13 @@ EXPECTED_SIGNS = {
     "avg_entropy_1": -1,
     "avg_entropy_2": -1,
 }
+
+
+# The types of the JSON values InstanceRecord.from_dict accepts for each field
+# annotation, matched exactly, so that true and false are not numbers.
+_JSON_TYPES = {"int": (int,), "int | None": (int, type(None)), "float": (int, float),
+               "float | None": (int, float, type(None)), "str": (str,), "bool": (bool,),
+               "dict": (dict,), "tuple": (list,)}
 
 
 @dataclass(frozen=True)
@@ -105,14 +112,18 @@ class InstanceRecord:
         try:
             if data["schema_version"] != SCHEMA_VERSION:
                 raise ParseError(f"unsupported schema version {data['schema_version']}")
-            values = {f.name: data[f.name] for f in dataclasses.fields(InstanceRecord)}
+            values = {}
+            for f in dataclasses.fields(InstanceRecord):
+                value = values[f.name] = data[f.name]
+                if type(value) not in _JSON_TYPES[f.type.partition("[")[0]]:
+                    raise TypeError(f"field {f.name!r} is not {f.type}: {value!r}")
             values["edges"] = tuple((int(u), int(v)) for u, v in values["edges"])
             values["features"] = tuple(float(v) for v in values["features"])
+            return InstanceRecord(**values)
         except KeyError as exc:
             raise ParseError(f"record missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"record has malformed edges or features: {exc}") from exc
-        return InstanceRecord(**values)
+        except (TypeError, ValueError, InvalidParamsError) as exc:
+            raise ParseError(f"record is malformed: {exc}") from exc
 
 
 def record_line(record: InstanceRecord) -> str:
@@ -168,7 +179,6 @@ class DatasetConfig:
     p_cap: int = 25
     restarts: int = 50
     seed: int = 0
-    max_pairs: int = 2000
 
     def __post_init__(self):
         labels = [family_label(f) for f in self.families]
@@ -222,10 +232,10 @@ def instance_seed(base_seed: int, instance_id: str, purpose: str) -> int:
 
 
 def features_with_cap(g: Graph, max_pairs: int, base_seed: int, instance_id: str):
-    """Feature vector and the seed of its two-edge deletion sample: graphs with
-    more than PAIR_CAP_EDGES edges average over max_pairs sampled pairs, the
-    rest over every pair, with seed None."""
-    if g.m > PAIR_CAP_EDGES:
+    """Feature vector and the seed of its two-edge deletion sample: a graph
+    with more than max_pairs edge pairs averages over max_pairs sampled pairs,
+    the rest over every pair, with seed None."""
+    if math.comb(g.m, 2) > max_pairs:
         feature_seed = instance_seed(base_seed, instance_id, "features")
         return feature_vector(g, max_pairs=max_pairs, seed=feature_seed), feature_seed
     return feature_vector(g), None
@@ -238,7 +248,7 @@ def generate_instance(
     start = time.perf_counter()
     iid = family_label(fam)
     g = generate(fam)
-    fv, feature_seed = features_with_cap(g, config.max_pairs, config.seed, iid)
+    fv, feature_seed = features_with_cap(g, MAX_PAIRS, config.seed, iid)
     pmin_seed = instance_seed(config.seed, iid, "pmin")
     result = find_pmin(
         g,

@@ -73,8 +73,8 @@ def _log_order(order: int) -> float:
 def _deletion_pairs(m: int, max_pairs: int | None, seed: int | None):
     pairs = list(itertools.combinations(range(m), 2))
     if max_pairs is not None and len(pairs) > max_pairs:
-        if seed is None:
-            raise InvalidParamsError("subsampling two-edge pairs requires a seed")
+        if seed is None or max_pairs < 1:
+            raise InvalidParamsError("sampling two-edge pairs needs a seed and max_pairs >= 1")
         rng = np.random.default_rng(seed)
         keep = rng.choice(len(pairs), size=max_pairs, replace=False)
         pairs = [pairs[i] for i in sorted(keep)]

@@ -22,6 +22,7 @@ from .errors import (
     DegenerateLabelsError,
     InsufficientDataError,
     InvalidParamsError,
+    ParseError,
     SingularSystemError,
 )
 
@@ -76,13 +77,19 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KernelModel:
-    """Support points with dual weights: prediction = bias + sum w_i k(x, x_i)."""
+    """Support points with dual weights: prediction = bias + sum w_i k(x, x_i).
+    The regressor has one weight vector and a float bias; the ordinal
+    ensemble's model has one weight column and one bias entry per cutoff."""
 
     support: np.ndarray
     weights: np.ndarray
     gamma: float
     lam: float
-    bias: float
+    bias: float | np.ndarray
+
+
+def _kernel_scores(model: KernelModel, rows: np.ndarray) -> np.ndarray:
+    return kernel_matrix(rows, model.support, model.gamma) @ model.weights + model.bias
 
 
 def train_regressor(x: np.ndarray, y: np.ndarray, gamma: float, lam: float) -> KernelModel:
@@ -108,8 +115,7 @@ def _ridge_solve(k: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, 
 def predict_regressor(model: KernelModel, x: np.ndarray) -> float | np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    rows = x[None, :] if single else x
-    vals = kernel_matrix(rows, model.support, model.gamma) @ model.weights + model.bias
+    vals = _kernel_scores(model, x[None, :] if single else x)
     return float(vals[0]) if single else vals
 
 
@@ -152,12 +158,12 @@ def _train_classifiers(k: np.ndarray, y: np.ndarray, cutoffs, lams):
 @dataclass(frozen=True, eq=False)
 class OrdinalEnsemble:
     """One binary classifier per retained cutoff c (positive score = p_min < c),
-    plus the training-score scale for standardized distances. The classifiers
-    share their support points and gamma."""
+    held as the columns of one kernel model, plus each column's training-score
+    scale for standardized distances."""
 
     cutoffs: tuple[int, ...]
-    models: tuple[KernelModel, ...]
-    sigmas: tuple[float, ...]
+    model: KernelModel
+    sigmas: np.ndarray
     y_min: float
     top_class: float
 
@@ -180,25 +186,15 @@ def train_ordinal(
         raise DegenerateLabelsError("all depths are censored; nothing to order")
     k = kernel_matrix(x, x, gamma)
     retained, alpha, bias, sigmas = _train_classifiers(k, y, cutoffs, (lam,))
-    support = x.copy()
-    models = tuple(
-        KernelModel(support, w.copy(), float(gamma), float(lam), float(b))
-        for w, b in zip(alpha.T, bias)
-    )
-    return OrdinalEnsemble(
-        retained, models, tuple(sigmas.tolist()), float(finite.min()), float(max(retained))
-    )
+    model = KernelModel(x.copy(), alpha, float(gamma), float(lam), bias)
+    return OrdinalEnsemble(retained, model, sigmas, float(finite.min()), float(max(retained)))
 
 
 def ordinal_scores(ens: OrdinalEnsemble, x: np.ndarray) -> np.ndarray:
     """Standardized decision scores d_z, one per retained cutoff, from one
     kernel row of the query against the shared support points."""
     x = np.asarray(x, dtype=np.float64)
-    first = ens.models[0]
-    weights = np.column_stack([m.weights for m in ens.models])
-    biases = np.array([m.bias for m in ens.models])
-    row = kernel_matrix(x[None, :], first.support, first.gamma)[0]
-    return (row @ weights + biases) / np.array(ens.sigmas)
+    return _kernel_scores(ens.model, x[None, :])[0] / ens.sigmas
 
 
 def predict_ordinal(ens: OrdinalEnsemble, x: np.ndarray) -> float:
@@ -261,7 +257,8 @@ def median_abs_err(pred, true) -> float:
 
 @dataclass(eq=False)
 class PminPredictor:
-    """Trained bundle: shared standardizer, ridge regressor, ordinal ensemble."""
+    """Trained bundle: shared standardizer, ridge regressor, ordinal ensemble;
+    gamma and lam are the regressor's."""
 
     standardizer: Standardizer
     regressor: KernelModel
@@ -276,86 +273,92 @@ class PminPredictor:
         return predict_ordinal(self.ensemble, self.standardizer.apply(features))
 
 
-MODEL_FORMAT = "symqaoa-model 1"
+MODEL_FORMAT = "symqaoa-model 2"
 
 
-def _write_vector(out: list[str], name: str, vec) -> None:
-    out.append(name + " " + " ".join(repr(float(v)) for v in np.asarray(vec, dtype=np.float64)))
+def _line(name: str, values) -> str:
+    """A named line of Python ints or floats; repr reproduces floats exactly."""
+    return " ".join([name, *map(repr, values)])
+
+
+def _write_block(out: list[str], name: str, model: KernelModel) -> None:
+    """A kernel model's name and support-point count, gamma, lambda, a bias per
+    weight column, then each support point followed by its weights."""
+    weights = model.weights.reshape(len(model.support), -1)
+    out += [_line(name, [len(model.support)]), _line("gamma", [float(model.gamma)]),
+            _line("lambda", [float(model.lam)]), _line("bias", np.atleast_1d(model.bias).tolist())]
+    out += [_line("row", row) for row in np.hstack((model.support, weights)).tolist()]
 
 
 def save_model(pred: PminPredictor, path) -> None:
-    """Versioned flat text; floats via repr so loading reproduces predictions
-    exactly. Classifier support points equal the ensemble training matrix, so
-    it is stored once."""
-    out = [MODEL_FORMAT]
-    out.append(f"gamma {pred.gamma!r}")
-    out.append(f"lambda {pred.lam!r}")
-    _write_vector(out, "means", pred.standardizer.means)
-    _write_vector(out, "stds", pred.standardizer.stds)
-    out.append("constant-mask " + " ".join(str(int(v)) for v in pred.standardizer.constant_mask))
-    reg = pred.regressor
-    out.append(f"regressor {len(reg.support)} {reg.support.shape[1]} {reg.bias!r} {reg.gamma!r} {reg.lam!r}")
-    for row, w in zip(reg.support, reg.weights):
-        _write_vector(out, "r", np.append(row, w))
-    ens = pred.ensemble
-    shared = ens.models[0].support
-    out.append(f"ensemble {len(shared)} {shared.shape[1]} {ens.y_min!r} {ens.top_class!r}")
-    for row in shared:
-        _write_vector(out, "s", row)
-    for cutoff, model, sigma in zip(ens.cutoffs, ens.models, ens.sigmas):
-        out.append(f"classifier {cutoff} {sigma!r} {model.bias!r} {model.gamma!r} {model.lam!r}")
-        _write_vector(out, "w", model.weights)
+    """Versioned flat text: the standardizer, the regressor block, the ensemble
+    block and the ensemble's cutoffs, score scales and class range."""
+    std, ens = pred.standardizer, pred.ensemble
+    out = [MODEL_FORMAT, _line("means", std.means.tolist()), _line("stds", std.stds.tolist()),
+           _line("constant-mask", std.constant_mask.astype(int).tolist())]
+    _write_block(out, "regressor", pred.regressor)
+    _write_block(out, "ensemble", ens.model)
+    out += [_line("cutoffs", list(ens.cutoffs)), _line("sigmas", ens.sigmas.tolist()),
+            _line("y-range", [ens.y_min, ens.top_class])]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")
 
 
+def _positive(value) -> bool:
+    return 0 < value < math.inf
+
+
+def _read_block(take, name: str, dim: int, columns: int | None = None) -> KernelModel:
+    """A _write_block block over dim features, with 2-d weights and a 1-d bias."""
+    (m,) = take(name, 1, int, _positive)
+    (gamma,) = take("gamma", 1, ok=_positive)
+    (lam,) = take("lambda", 1)
+    bias = np.array(take("bias", columns))
+    rows = np.array([take("row", dim + len(bias)) for _ in range(m)])
+    return KernelModel(rows[:, :dim].copy(), rows[:, dim:].copy(), gamma, lam, bias)
+
+
 def load_model(path) -> PminPredictor:
-    with open(path, encoding="utf-8") as fh:
+    """Read a save_model file. Any other content, a file of an earlier format
+    included, raises ParseError naming the file and the line."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0] != MODEL_FORMAT:
-        raise InvalidParamsError(f"not a {MODEL_FORMAT!r} file: {path}")
+    if lines[:1] != [MODEL_FORMAT]:
+        raise ParseError(f"{path}:1: not a {MODEL_FORMAT!r} file; a model saved by another "
+                         "version must be retrained with 'symqaoa train'")
     pos = 1
 
-    def take(prefix: str) -> list[str]:
+    def take(name: str, count: int | None, kind=float, ok=math.isfinite) -> list:
+        """The next line's values: name, then count of them (or at least one
+        when count is None), each converted by kind and accepted by ok."""
         nonlocal pos
-        if pos >= len(lines) or not lines[pos].startswith(prefix + " "):
-            raise InvalidParamsError(f"expected {prefix!r} at line {pos + 1} of {path}")
-        fields = lines[pos].split()[1:]
+        fields = lines[pos].split() if pos < len(lines) else []
         pos += 1
-        return fields
+        try:
+            if fields[:1] != [name]:
+                raise ValueError("missing")
+            if (len(fields) - 1 != count) if count else len(fields) < 2:
+                raise ValueError(f"needs {count or 'some'} values, has {len(fields) - 1}")
+            values = [kind(v) for v in fields[1:]]
+            if not all(map(ok, values)):
+                raise ValueError("value out of range")
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}:{pos}: {name!r} line: {exc}") from exc
+        return values
 
-    gamma = float(take("gamma")[0])
-    lam = float(take("lambda")[0])
-    means = np.array([float(v) for v in take("means")])
-    stds = np.array([float(v) for v in take("stds")])
-    mask = np.array([bool(int(v)) for v in take("constant-mask")])
-    std = Standardizer(means, stds, mask)
-    m, d, bias, rgamma, rlam = take("regressor")
-    m, d = int(m), int(d)
-    rows = np.array([[float(v) for v in take("r")] for _ in range(m)])
-    regressor = KernelModel(
-        rows[:, :d].copy() if m else np.empty((0, d)),
-        np.ascontiguousarray(rows[:, d]) if m else np.empty(0),
-        float(rgamma),
-        float(rlam),
-        float(bias),
-    )
-    m, d, y_min, top = take("ensemble")
-    m, d = int(m), int(d)
-    shared = np.array([[float(v) for v in take("s")] for _ in range(m)])
-    cutoffs: list[int] = []
-    models: list[KernelModel] = []
-    sigmas: list[float] = []
-    while pos < len(lines) and lines[pos].startswith("classifier "):
-        cutoff, sigma, cbias, cgamma, clam = take("classifier")
-        weights = np.array([float(v) for v in take("w")])
-        cutoffs.append(int(cutoff))
-        sigmas.append(float(sigma))
-        models.append(KernelModel(shared, weights, float(cgamma), float(clam), float(cbias)))
-    ensemble = OrdinalEnsemble(
-        tuple(cutoffs), tuple(models), tuple(sigmas), float(y_min), float(top)
-    )
-    return PminPredictor(std, regressor, ensemble, gamma, lam)
+    means = np.array(take("means", None))
+    stds = np.array(take("stds", len(means), ok=_positive))
+    mask = np.array(take("constant-mask", len(means), int, lambda v: v in (0, 1)), dtype=bool)
+    reg = _read_block(take, "regressor", len(means), columns=1)
+    reg = KernelModel(reg.support, reg.weights.ravel(), reg.gamma, reg.lam, float(reg.bias[0]))
+    model = _read_block(take, "ensemble", len(means))
+    cutoffs = tuple(take("cutoffs", len(model.bias), int))
+    sigmas = np.array(take("sigmas", len(model.bias), ok=_positive))
+    y_min, top_class = take("y-range", 2)
+    if pos < len(lines):
+        raise ParseError(f"{path}:{pos + 1}: unexpected line after the model")
+    ensemble = OrdinalEnsemble(cutoffs, model, sigmas, y_min, top_class)
+    return PminPredictor(Standardizer(means, stds, mask), reg, ensemble, reg.gamma, reg.lam)
 
 
 def stratified_folds(families, n_folds: int, seed) -> list[np.ndarray]:

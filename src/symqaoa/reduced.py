@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -168,17 +168,10 @@ class ReducedOperators:
     cost_diag: np.ndarray
     mixer: np.ndarray
     init: np.ndarray
-    _eig: tuple | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.cost_diag)
-
-    def mixer_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eig is None:
-            w, v = np.linalg.eigh(self.mixer)
-            self._eig = (w, v)
-        return self._eig
 
 
 def reduce_operators(diag: CostDiagonal, basis: OrbitBasis) -> ReducedOperators:
@@ -241,7 +234,7 @@ class ReducedEngine:
     def __init__(self, ops: ReducedOperators):
         self.ops = ops
         self.values = ops.cost_diag
-        self._w, self._v = ops.mixer_eig()
+        self._w, self._v = np.linalg.eigh(ops.mixer)
 
     def run(self, betas, gammas) -> np.ndarray:
         amps = self.ops.init.astype(np.complex128)

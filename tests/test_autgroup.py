@@ -20,8 +20,6 @@ from symqaoa.autgroup import (
     inverse,
     is_automorphism,
     iter_elements,
-    parse_perm_line,
-    perm_to_line,
     vertex_orbits,
 )
 from symqaoa.errors import InvalidParamsError, SizeLimitError
@@ -54,9 +52,6 @@ def test_perm_basics():
     assert compose(a, inverse(a)) == identity_perm(3)
     assert compose(inverse(a), a) == identity_perm(3)
     assert sorted(oracles.cycle_lengths((1, 0, 2, 4, 3))) == [1, 2, 2]
-    assert parse_perm_line(perm_to_line(a)) == a
-    with pytest.raises(InvalidParamsError):
-        parse_perm_line("0 0 1")
 
 
 def test_is_automorphism():

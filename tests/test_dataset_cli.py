@@ -128,7 +128,8 @@ def test_record_validation():
 @pytest.mark.parametrize(
     "field,value",
     [("edges", 5), ("edges", [[0, "a"]]), ("edges", [[0, 1, 2]]),
-     ("features", ["x"] * 10), ("features", 5), ("features", [[1.0]] * 10)],
+     ("features", ["x"] * 10), ("features", 5), ("features", [[1.0]] * 10),
+     ("p_min", "x"), ("n", "abc"), ("family", None)],
 )
 def test_record_rejects_malformed_fields(tmp_path, capsys, field, value):
     data = json.loads(record_line(make_record(0, "x", 4)))
@@ -329,6 +330,22 @@ def test_cli_gen_graphs_and_features(tmp_path, capsys):
     assert data["n"] == 4 and data["m"] == 6
     assert data["log_aut"] == pytest.approx(math.log(24), abs=1e-9)
     assert data["n_orbits"] == 1
+
+
+def test_cli_features_max_pairs_samples_small_graphs(tmp_path, capsys):
+    # one rule for every graph: more than --max-pairs two-edge deletion pairs
+    # means a sample of that many, whatever the edge count
+    path = tmp_path / "petersen.edges"
+    main(["gen-graphs", "--family", "hand-picked", "--name", "petersen", "--out", str(path)])
+    capsys.readouterr()
+    out = {}
+    for cap in ("40", "105", None):
+        assert main(["features", str(path), "--json"] + (["--max-pairs", cap] if cap else [])) == 0
+        out[cap] = json.loads(capsys.readouterr().out)
+    assert out["105"] == out[None]  # C(15, 2) = 105 pairs: no sample
+    assert out["40"]["avg_orbits_2"] != out[None]["avg_orbits_2"]
+    assert out["40"]["avg_orbits_1"] == out[None]["avg_orbits_1"]
+    assert main(["features", str(path), "--max-pairs", "0"]) == 2
 
 
 def test_cli_gen_graphs_stdout(capsys):

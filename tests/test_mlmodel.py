@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 import oracles
+from symqaoa.cli import main
 from symqaoa.errors import (
     ConstantInputError,
     DegenerateLabelsError,
     InvalidParamsError,
+    ParseError,
     SingularSystemError,
 )
+from symqaoa.features import FEATURE_NAMES
 from symqaoa.mlmodel import (
     LAMBDA_GRID,
     LOGISTIC_ITERS,
@@ -296,9 +299,9 @@ def test_cross_validate_ordinal_matches_separate_fits():
     assert err <= min(errs.values()) + 1e-9
 
 
-def build_predictor():
+def build_predictor(dim=3):
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(20, 3))
+    x = rng.normal(size=(20, dim))
     y = np.clip(np.round(4.0 + 2.0 * x[:, 0] + rng.normal(scale=0.3, size=20)), 2, 12)
     std = Standardizer.fit(x)
     z = std.apply(x)
@@ -306,7 +309,7 @@ def build_predictor():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # some cutoffs do not split this tiny y
         ens = train_ordinal(z, y, gamma=0.5, lam=0.01, cutoffs=tuple(range(3, 12)))
-    return PminPredictor(std, reg, ens, 0.5, 0.01), rng.normal(size=(7, 3))
+    return PminPredictor(std, reg, ens, 0.5, 0.01), rng.normal(size=(7, dim))
 
 
 def test_persistence_round_trip(tmp_path):
@@ -321,6 +324,64 @@ def test_persistence_round_trip(tmp_path):
     path2 = tmp_path / "model2.txt"
     save_model(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_ensemble_is_one_kernel_model(tmp_path):
+    pred, queries = build_predictor()
+    ens = pred.ensemble
+    assert ens.model.weights.shape == (20, len(ens.cutoffs))
+    assert ens.model.bias.shape == ens.sigmas.shape == (len(ens.cutoffs),)
+    for q in queries:
+        # column j of the one weight matrix is the classifier of cutoff j
+        z = pred.standardizer.apply(q)
+        row = kernel_matrix(z[None, :], ens.model.support, ens.model.gamma)[0]
+        want = [(row @ ens.model.weights[:, j] + ens.model.bias[j]) / ens.sigmas[j]
+                for j in range(len(ens.cutoffs))]
+        assert ordinal_scores(ens, z) == pytest.approx(want, abs=1e-12)
+    path = tmp_path / "model.txt"
+    save_model(pred, path)
+    names = [line.split()[0] for line in path.read_text().splitlines()]
+    # each model states its gamma and lambda once
+    assert names.count("gamma") == names.count("lambda") == 2
+    assert names.count("row") == 2 * 20
+
+
+def _edit_line(lines, name, edit):
+    i = next(i for i, line in enumerate(lines) if line.split()[0] == name)
+    lines[i] = edit(lines[i])
+
+
+MALFORMED_MODELS = {
+    "gamma-not-a-number": lambda lines: _edit_line(lines, "gamma", lambda _: "gamma abc"),
+    "row-one-value-short": lambda lines: _edit_line(
+        lines, "row", lambda line: line.rsplit(" ", 1)[0]
+    ),
+    "negative-row-count": lambda lines: _edit_line(lines, "regressor", lambda _: "regressor -3"),
+    "means-one-value": lambda lines: _edit_line(
+        lines, "means", lambda line: " ".join(line.split()[:2])
+    ),
+    "format-1": lambda lines: lines.__setitem__(0, "symqaoa-model 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_load_model_rejects_malformed(tmp_path, capsys, case):
+    pred, queries = build_predictor(dim=len(FEATURE_NAMES))
+    path = tmp_path / "model.txt"
+    save_model(pred, path)
+    feats = ",".join(repr(float(v)) for v in queries[0])
+    assert main(["predict", "--model", str(path), "--features", feats]) == 0
+    lines = path.read_text().splitlines()
+    MALFORMED_MODELS[case](lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=r"model\.txt:\d+: "):
+        load_model(path)
+    capsys.readouterr()
+    assert main(["predict", "--model", str(path), "--features", feats]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if case == "format-1":
+        assert "retrained" in err
 
 
 def test_load_model_rejects_garbage(tmp_path):
