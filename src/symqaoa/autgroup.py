@@ -44,58 +44,36 @@ def is_automorphism(g: Graph, perm: Perm) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """Vertex coloring with contiguous color ids; cells come out in color-id order."""
+def _refine(adj: list[tuple[int, ...]], colors) -> tuple[int, ...]:
+    """Coarsest equitable refinement of colors, whose ids must be 0..k-1.
 
-    colors: tuple[int, ...]
-
-    @staticmethod
-    def uniform(n: int) -> "Coloring":
-        return Coloring((0,) * n)
-
-    @property
-    def n_colors(self) -> int:
-        return max(self.colors) + 1
-
-    def cells(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.n_colors)]
-        for v, c in enumerate(self.colors):
-            out[c].append(v)
-        return out
-
-
-def _normalize(colors: list[int]) -> list[int]:
-    rank = {c: i for i, c in enumerate(sorted(set(colors)))}
-    return [rank[c] for c in colors]
-
-
-def _refine(adj: list[tuple[int, ...]], colors: list[int]) -> Coloring:
+    Each round recolors vertices by (current color, sorted multiset of neighbor
+    colors) and stops when the number of classes no longer grows. New ids are
+    signature ranks, so they stay contiguous and keep the order of the old ids.
+    """
     n = len(adj)
-    colors = _normalize(colors)
     k = max(colors) + 1
     while k < n:
         sigs = [(colors[v],) + tuple(sorted(colors[u] for u in adj[v])) for v in range(n)]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         if len(rank) == k:
             break
-        colors = [rank[sigs[v]] for v in range(n)]
+        colors = [rank[s] for s in sigs]
         k = len(rank)
-    return Coloring(tuple(colors))
+    return tuple(colors)
 
 
-def color_refine(g: Graph, init: Coloring | None = None) -> Coloring:
-    """Coarsest equitable refinement of init (uniform if omitted); idempotent.
-
-    Each round recolors vertices by (current color, sorted multiset of neighbor
-    colors) and stops when the number of classes no longer grows. New color ids
-    are signature ranks, so the result depends only on the input partition and
-    the graph, not on incoming id values.
+def color_refine(g: Graph, init: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """Coarsest equitable refinement of the coloring init (uniform if omitted);
+    idempotent. The result depends only on the partition init induces and the
+    graph, not on its id values, and its ids are 0..k-1.
     """
-    if init is not None and len(init.colors) != g.n:
+    if init is None:
+        init = (0,) * g.n
+    elif len(init) != g.n:
         raise InvalidParamsError("coloring length does not match vertex count")
-    adj = [tuple(s) for s in g.adjacency()]
-    return _refine(adj, list(init.colors) if init is not None else [0] * g.n)
+    rank = {c: i for i, c in enumerate(sorted(set(init)))}
+    return _refine([tuple(s) for s in g.adjacency()], [rank[c] for c in init])
 
 
 @dataclass
@@ -262,15 +240,10 @@ def automorphism_generators(g: Graph, node_cap: int = 10**7) -> PermGroup:
     edges = g.edges
     adj = [tuple(s) for s in g.adjacency()]
     gens: list[Perm] = []
-    state = {"nodes": 0, "ref_leaf": None, "ref_cert": None}
+    nodes = 0
+    ref_leaf = ref_cert = None
     ref_invs: list[tuple[int, ...]] = []
     ref_prefix: list[int] = []
-
-    def cell_sizes(coloring: Coloring) -> tuple[int, ...]:
-        sizes = [0] * coloring.n_colors
-        for c in coloring.colors:
-            sizes[c] += 1
-        return tuple(sizes)
 
     def certificate(lab: tuple[int, ...]) -> frozenset:
         out = set()
@@ -279,48 +252,27 @@ def automorphism_generators(g: Graph, node_cap: int = 10**7) -> PermGroup:
             out.add((a, b) if a < b else (b, a))
         return frozenset(out)
 
-    def in_explored_orbit(v: int, explored: list[int], prefix: list[int]) -> bool:
-        fixing = [s for s in gens if all(s[x] == x for x in prefix)]
-        if not fixing:
-            return False
-        seen = set(explored)
-        frontier = list(explored)
-        while frontier:
-            w = frontier.pop()
-            for s in fixing:
-                u = s[w]
-                if u == v:
-                    return True
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        return False
-
-    def search(coloring: Coloring, depth: int, prefix: list[int]):
-        state["nodes"] += 1
-        if state["nodes"] > node_cap:
+    def search(colors: tuple[int, ...], depth: int, prefix: list[int]):
+        nonlocal nodes, ref_leaf, ref_cert, ref_prefix
+        nodes += 1
+        if nodes > node_cap:
             raise SearchBudgetError(f"automorphism search exceeded {node_cap} nodes")
-        inv = cell_sizes(coloring)
-        if state["ref_leaf"] is None:
+        cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        inv = tuple(map(len, cells))
+        if ref_leaf is None:
             ref_invs.append(inv)
         elif depth >= len(ref_invs) or inv != ref_invs[depth]:
             return None
-        cells = coloring.cells()
-        target = None
-        best = n + 1
-        for idx, cell in enumerate(cells):
-            if 1 < len(cell) < best:
-                target, best = idx, len(cell)
+        target = min((cell for cell in cells if len(cell) > 1), key=len, default=None)
         if target is None:
             # discrete: colors are a vertex -> position labeling
-            lab = coloring.colors
-            if state["ref_leaf"] is None:
-                state["ref_leaf"] = lab
-                state["ref_cert"] = certificate(lab)
-                ref_prefix[:] = prefix
+            if ref_leaf is None:
+                ref_leaf, ref_cert, ref_prefix = colors, certificate(colors), prefix
                 return None
-            if certificate(lab) == state["ref_cert"]:
-                sigma = compose(inverse(lab), state["ref_leaf"])
+            if certificate(colors) == ref_cert:
+                sigma = compose(inverse(colors), ref_leaf)
                 if sigma != ident and is_automorphism(g, sigma):
                     gens.append(sigma)
                     common = 0
@@ -333,43 +285,48 @@ def automorphism_generators(g: Graph, node_cap: int = 10**7) -> PermGroup:
                     return common
             return None
         explored: list[int] = []
-        for v in cells[target]:
-            if explored and in_explored_orbit(v, explored, prefix):
-                continue
-            branched = list(coloring.colors)
-            branched[v] = coloring.n_colors
-            child = _refine(adj, branched)
-            jump = search(child, depth + 1, prefix + [v])
+        for v in target:
+            if explored:
+                fixing = [s for s in gens if all(s[x] == x for x in prefix)]
+                if v in _orbit(fixing, explored):
+                    continue
+            branched = list(colors)
+            branched[v] = len(cells)  # a new id after the others keeps them contiguous
+            jump = search(_refine(adj, branched), depth + 1, prefix + [v])
             explored.append(v)
             if jump is not None and jump < depth:
                 return jump
         return None
 
-    search(_refine(adj, [0] * n), 0, [])
+    search(_refine(adj, (0,) * n), 0, [])
     if len(gens) > n * n:
         raise SearchBudgetError(f"generator count {len(gens)} exceeds {n * n}")
     return PermGroup(n, tuple(gens))
 
 
+def _orbit(gens, seeds) -> set[int]:
+    """The points reachable from seeds under the permutations gens."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for s in gens:
+            y = s[x]
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
 def vertex_orbits(grp: PermGroup) -> list[list[int]]:
     """Orbits of {0..n-1} under the generators, sorted by smallest member."""
-    seen = [False] * grp.n
+    seen: set[int] = set()
     orbits = []
     for v in range(grp.n):
-        if seen[v]:
-            continue
-        comp = [v]
-        seen[v] = True
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for s in grp.generators:
-                y = s[x]
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    stack.append(y)
-        orbits.append(sorted(comp))
+        if v not in seen:
+            orbit = _orbit(grp.generators, (v,))
+            seen |= orbit
+            orbits.append(sorted(orbit))
     return orbits
 
 

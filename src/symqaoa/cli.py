@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,7 +44,6 @@ from symqaoa.features import FEATURE_NAMES
 from symqaoa.graphs import (
     FAMILY_NAMES,
     NAMED_GRAPHS,
-    Graph,
     GraphFamily,
     format_edge_list,
     generate,
@@ -159,10 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_graph(path) -> Graph:
-    return read_edge_list(path)
-
-
 def _emit(data: dict, as_json: bool, text_lines) -> None:
     if as_json:
         print(json.dumps(data, indent=2, sort_keys=True))
@@ -191,7 +187,7 @@ def cmd_gen_graphs(args) -> int:
 
 
 def cmd_features(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_edge_list(args.graph)
     fv, _ = features_with_cap(g, args.max_pairs, args.seed, "cli")
     values = fv.as_array()
     data = {name: float(v) for name, v in zip(FEATURE_NAMES, values)}
@@ -202,7 +198,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_pmin(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_edge_list(args.graph)
     result = find_pmin(
         g,
         target_ratio=args.target_ratio,
@@ -236,22 +232,23 @@ def cmd_pmin(args) -> int:
     return 0
 
 
-def _parse_schedule(p: int, text: str) -> LinearSchedule:
+def _parse_numbers(text: str, count: int, what: str) -> list[float]:
+    """count comma-separated finite numbers, else InvalidParamsError."""
     parts = text.split(",")
-    if len(parts) != 4:
-        raise InvalidParamsError(
-            f"schedule needs 4 comma-separated values, got {len(parts)}"
-        )
+    if len(parts) != count:
+        raise InvalidParamsError(f"{what} needs {count} comma-separated values, got {len(parts)}")
     try:
         vals = [float(v) for v in parts]
     except ValueError as exc:
-        raise InvalidParamsError(f"bad schedule value: {exc}") from exc
-    return LinearSchedule(p, *vals)
+        raise InvalidParamsError(f"bad {what} value: {exc}") from exc
+    if not all(map(math.isfinite, vals)):
+        raise InvalidParamsError(f"{what} values must be finite, got {text!r}")
+    return vals
 
 
 def cmd_simulate(args) -> int:
-    g = _load_graph(args.graph)
-    schedule = _parse_schedule(args.depth, args.schedule)
+    g = read_edge_list(args.graph)
+    schedule = LinearSchedule(args.depth, *_parse_numbers(args.schedule, 4, "schedule"))
     ev = ScheduleEvaluator(g)
     optimum = ev.optimum
     ratio = ev.ratio_of(schedule.p, schedule.endpoints())
@@ -269,7 +266,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_edge_list(args.graph)
     data = {}
     lines = []
     perm_group = automorphism_generators(g)  # one search; both groups share its chain
@@ -290,7 +287,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_edge_list(args.graph)
     if g.n > ORBIT_N_CAP:
         raise SizeLimitError(f"verify needs n <= {ORBIT_N_CAP}, got {g.n}")
     rng = np.random.default_rng(args.seed)
@@ -381,18 +378,10 @@ def cmd_predict(args) -> int:
         raise InvalidParamsError("predict needs exactly one of --graph or --features")
     predictor = load_model(args.model)
     if args.graph:
-        g = _load_graph(args.graph)
+        g = read_edge_list(args.graph)
         feats = features_with_cap(g, MAX_PAIRS, args.seed, "cli")[0].as_array()
     else:
-        parts = args.features.split(",")
-        if len(parts) != len(FEATURE_NAMES):
-            raise InvalidParamsError(
-                f"--features needs {len(FEATURE_NAMES)} values, got {len(parts)}"
-            )
-        try:
-            feats = np.array([float(v) for v in parts])
-        except ValueError as exc:
-            raise InvalidParamsError(f"bad feature value: {exc}") from exc
+        feats = np.array(_parse_numbers(args.features, len(FEATURE_NAMES), "--features"))
     reg = predictor.predict_regression(feats)
     ens = predictor.predict_ensemble(feats)
     _emit({"regression": reg, "ensemble": ens}, args.json, [

@@ -117,8 +117,14 @@ class InstanceRecord:
                 value = values[f.name] = data[f.name]
                 if type(value) not in _JSON_TYPES[f.type.partition("[")[0]]:
                     raise TypeError(f"field {f.name!r} is not {f.type}: {value!r}")
-            values["edges"] = tuple((int(u), int(v)) for u, v in values["edges"])
-            values["features"] = tuple(float(v) for v in values["features"])
+            edges, feats = values["edges"], values["features"]
+            if not all(type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int
+                       for e in edges):
+                raise TypeError(f"edges are not pairs of integers: {edges!r}")
+            if not all(type(v) in _JSON_TYPES["float"] for v in feats):
+                raise TypeError(f"features are not numbers: {feats!r}")
+            values["edges"] = tuple(map(tuple, edges))
+            values["features"] = tuple(map(float, feats))
             return InstanceRecord(**values)
         except KeyError as exc:
             raise ParseError(f"record missing field {exc}") from exc

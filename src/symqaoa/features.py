@@ -58,16 +58,8 @@ def exact_features(g: Graph) -> tuple[float, int, float]:
     """(ln|Aut|, orbit count, entropy) of one graph."""
     grp = automorphism_generators(g)
     orbits = vertex_orbits(grp)
-    log_aut = _log_order(grp.order())
-    return log_aut, len(orbits), graph_entropy(orbits, g.n)
-
-
-def _log_order(order: int) -> float:
-    # group orders overflow float64 well before n = 200, so log via int.bit_length
-    if order.bit_length() <= 53:
-        return math.log(order)
-    shift = order.bit_length() - 53
-    return math.log(order >> shift) + shift * math.log(2)
+    # math.log takes ints of any size, so orders beyond float64 are fine
+    return math.log(grp.order()), len(orbits), graph_entropy(orbits, g.n)
 
 
 def _deletion_pairs(m: int, max_pairs: int | None, seed: int | None):

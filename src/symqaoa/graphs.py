@@ -317,7 +317,11 @@ def format_edge_list(g: Graph) -> str:
 
 def read_edge_list(path) -> Graph:
     with open(path, encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_edge_list(text)
 
 
 def write_edge_list(g: Graph, path) -> None:

@@ -142,23 +142,13 @@ def quotient_dimension(grp: BitstringGroup) -> QuotientCount:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitBasis:
-    """Orthonormal basis of normalized orbit sums |o_k> = sum over orbit k / sqrt(size)."""
-
-    n: int
-    orbits: BitstringOrbits
-
-    @property
-    def dim(self) -> int:
-        return self.orbits.n_orbits
-
-
-def build_orbit_basis(g: Graph, include_flip: bool = False) -> OrbitBasis:
+def build_orbit_basis(g: Graph, include_flip: bool = False) -> BitstringOrbits:
+    """Orbits of the bitstrings under Aut(g), and the flip if asked: orbit k is
+    the basis vector |o_k> = sum over orbit k / sqrt(size), so n_orbits is the
+    dimension."""
     if g.n > GENERIC_N_CAP:
         raise SizeLimitError(f"generic orbit basis needs n <= {GENERIC_N_CAP}, got {g.n}")
-    grp = automorphism_generators(g)
-    return OrbitBasis(g.n, bitstring_orbits(grp, include_global_flip=include_flip))
+    return bitstring_orbits(automorphism_generators(g), include_global_flip=include_flip)
 
 
 @dataclass(eq=False)
@@ -174,7 +164,7 @@ class ReducedOperators:
         return len(self.cost_diag)
 
 
-def reduce_operators(diag: CostDiagonal, basis: OrbitBasis) -> ReducedOperators:
+def reduce_operators(diag: CostDiagonal, basis: BitstringOrbits) -> ReducedOperators:
     """Project a cost diagonal onto the basis. The cost must be constant on every
     orbit; otherwise the group was not a symmetry of this cost.
 
@@ -184,26 +174,19 @@ def reduce_operators(diag: CostDiagonal, basis: OrbitBasis) -> ReducedOperators:
     """
     if diag.n != basis.n:
         raise InvalidParamsError(f"diagonal n={diag.n}, basis n={basis.n}")
-    orb = basis.orbits
-    labels, sizes, reps = orb.labels, orb.sizes, orb.reps
-    order = np.argsort(labels, kind="stable")
-    starts = np.zeros(orb.n_orbits, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    sorted_vals = diag.values[order]
-    firsts = np.repeat(sorted_vals[starts], sizes)
-    if not np.array_equal(sorted_vals, firsts):
+    labels, sizes, reps = basis.labels, basis.sizes, basis.reps
+    values = diag.values
+    if not np.array_equal(values, values[reps][labels]):
         raise NotInvariantError("cost is not constant on an orbit")
-    dim = orb.n_orbits
+    dim = basis.n_orbits
     transfer = np.zeros((dim, dim), dtype=np.float64)
-    for k in range(dim):
-        x = int(reps[k])
-        for j in range(basis.n):
-            transfer[k, labels[x ^ (1 << j)]] += 1.0
+    neighbors = labels[reps[:, None] ^ (1 << np.arange(basis.n, dtype=np.int64))]
+    np.add.at(transfer, (np.arange(dim)[:, None], neighbors), 1.0)
     ratio = np.sqrt(sizes.astype(np.float64)[:, None] / sizes.astype(np.float64)[None, :])
     mixer = transfer * ratio
     mixer = (mixer + mixer.T) / 2.0
     init = np.sqrt(sizes.astype(np.float64) / float(1 << basis.n))
-    return ReducedOperators(diag.values[reps].copy(), mixer, init)
+    return ReducedOperators(values[reps].copy(), mixer, init)
 
 
 def hamming_reduced_ops(n: int) -> ReducedOperators:
@@ -248,12 +231,12 @@ class ReducedEngine:
         return float((amps.real**2 + amps.imag**2) @ self.values)
 
 
-def lift(amplitudes: np.ndarray, basis: OrbitBasis) -> StateVector:
+def lift(amplitudes: np.ndarray, basis: BitstringOrbits) -> StateVector:
     """Expand reduced amplitudes to the full space: every orbit member receives
     a_k / sqrt(|orbit_k|)."""
-    if len(amplitudes) != basis.dim:
-        raise InvalidParamsError(f"expected {basis.dim} amplitudes, got {len(amplitudes)}")
+    if len(amplitudes) != basis.n_orbits:
+        raise InvalidParamsError(f"expected {basis.n_orbits} amplitudes, got {len(amplitudes)}")
     per_member = np.asarray(amplitudes, dtype=np.complex128) / np.sqrt(
-        basis.orbits.sizes.astype(np.float64)
+        basis.sizes.astype(np.float64)
     )
-    return StateVector(basis.n, per_member[basis.orbits.labels])
+    return StateVector(basis.n, per_member[basis.labels])

@@ -87,7 +87,7 @@ def make_engine(g: Graph):
         return ReducedEngine(hamming_reduced_ops(g.n))
     if g.n <= GENERIC_N_CAP:
         basis = build_orbit_basis(g, include_flip=True)
-        if basis.dim <= REDUCED_DIM_CAP:
+        if basis.n_orbits <= REDUCED_DIM_CAP:
             return ReducedEngine(reduce_operators(maxcut_diagonal(g), basis))
     return Engine(maxcut_diagonal(g))
 

@@ -220,14 +220,13 @@ def orbit_spread(state: StateVector, orbits: BitstringOrbits) -> OrbitSpread:
     """
     if orbits.n != state.n:
         raise InvalidParamsError(f"orbits are over n={orbits.n}, state has n={state.n}")
-    order = np.argsort(orbits.labels, kind="stable")
-    starts = np.zeros(orbits.n_orbits, dtype=np.int64)
-    np.cumsum(orbits.sizes[:-1], out=starts[1:])
-    probs = probabilities(state)[order]
-    spread = np.maximum.reduceat(probs, starts) - np.minimum.reduceat(probs, starts)
-    amps = state.amplitudes[order]
-    firsts = np.repeat(amps[starts], orbits.sizes)
-    return OrbitSpread(float(spread.max()), float(np.abs(amps - firsts).max()))
+    labels, reps = orbits.labels, orbits.reps
+    probs = probabilities(state)
+    hi, lo = probs[reps], probs[reps]
+    np.maximum.at(hi, labels, probs)
+    np.minimum.at(lo, labels, probs)
+    amps = state.amplitudes
+    return OrbitSpread(float((hi - lo).max()), float(np.abs(amps - amps[reps][labels]).max()))
 
 
 class SymmetryFlags(NamedTuple):

@@ -26,7 +26,14 @@ from symqaoa.dataset import (
 )
 from symqaoa.errors import InsufficientDataError, InvalidParamsError, ParseError
 from symqaoa.features import feature_vector
-from symqaoa.graphs import GraphFamily, complete, cycle, trivial_aut_graph, write_edge_list
+from symqaoa.graphs import (
+    GraphFamily,
+    complete,
+    cycle,
+    read_edge_list,
+    trivial_aut_graph,
+    write_edge_list,
+)
 from symqaoa.mlmodel import load_model
 from symqaoa.schedules import LinearSchedule
 from symqaoa.simulator import Engine, maxcut_diagonal, probabilities_csv
@@ -129,7 +136,10 @@ def test_record_validation():
     "field,value",
     [("edges", 5), ("edges", [[0, "a"]]), ("edges", [[0, 1, 2]]),
      ("features", ["x"] * 10), ("features", 5), ("features", [[1.0]] * 10),
-     ("p_min", "x"), ("n", "abc"), ("family", None)],
+     ("p_min", "x"), ("n", "abc"), ("family", None),
+     ("edges", [[0, 1.7]]), ("edges", [[True, 2]]), ("edges", [["1", "2"]]), ("edges", [[0]]),
+     ("edges", [5]), ("features", ["1.5"] * 10), ("features", [True] * 10),
+     ("features", [None] * 10)],
 )
 def test_record_rejects_malformed_fields(tmp_path, capsys, field, value):
     data = json.loads(record_line(make_record(0, "x", 4)))
@@ -370,6 +380,26 @@ def test_cli_simulate_single_edge(tmp_path, capsys):
     lines = probs.read_text().splitlines()
     assert lines[0] == "bitstring,probability"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("sched", ["nan,0,0,0", "0,inf,0,0", "0,0,-inf,0", "0,0,0,NaN"])
+def test_cli_simulate_rejects_non_finite_schedule(tmp_path, capsys, sched):
+    path = tmp_path / "k2.edges"
+    write_edge_list(complete(2), path)
+    assert main(["simulate", str(path), "--depth", "1", "--schedule", sched]) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err and "expected cut" not in captured.out
+
+
+def test_cli_rejects_non_utf8_graph_file(tmp_path, capsys):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(b"2\n0 1\xff\n")
+    with pytest.raises(ParseError, match="bad.edges"):
+        read_edge_list(path)
+    for verb in (["features"], ["reduce"], ["verify"], ["pmin"]):
+        assert main([*verb, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.edges" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("graph", [complete(2), trivial_aut_graph(12, 3, seed=2)])

@@ -384,6 +384,18 @@ def test_load_model_rejects_malformed(tmp_path, capsys, case):
         assert "retrained" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cli_predict_rejects_non_finite_features(tmp_path, capsys, bad):
+    pred, queries = build_predictor(dim=len(FEATURE_NAMES))
+    path = tmp_path / "model.txt"
+    save_model(pred, path)
+    feats = [repr(float(v)) for v in queries[0]]
+    feats[3] = bad
+    assert main(["predict", "--model", str(path), "--features", ",".join(feats)]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+
+
 def test_load_model_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a model\n")

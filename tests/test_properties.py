@@ -1,24 +1,28 @@
 """Property tests: the vectorised Burnside tally and the block enumerator
 against the one-element-at-a-time oracles, on random generator sets and on
 the automorphism groups of random graphs, n <= 8, with the flip on and off;
-and the model-file and record-line parsers on damaged input, which they must
-reject with ParseError alone."""
+the searched group against a brute-force scan, n <= 6; relabelling
+invariance of the group order and the features; the reduced
+engine against the full one; and the model-file, record-line and edge-list
+parsers on damaged input, which they must reject with ParseError alone."""
 
 import json
+import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from acceptance_profile import DATASET_PATH
-from symqaoa.autgroup import PermGroup, automorphism_generators, iter_elements
+from symqaoa.autgroup import PermGroup, automorphism_generators, bitstring_orbits, iter_elements
 from symqaoa.cli import main
 from symqaoa.dataset import parse_record
 from symqaoa.errors import ParseError
-from symqaoa.features import FEATURE_NAMES
-from symqaoa.graphs import Graph
+from symqaoa.features import FEATURE_NAMES, approx_features, exact_features
+from symqaoa.graphs import Graph, read_edge_list
 from symqaoa.mlmodel import (
     PminPredictor,
     Standardizer,
@@ -27,7 +31,14 @@ from symqaoa.mlmodel import (
     train_ordinal,
     train_regressor,
 )
-from symqaoa.reduced import BitstringGroup, quotient_dimension
+from symqaoa.reduced import (
+    BitstringGroup,
+    ReducedEngine,
+    build_orbit_basis,
+    quotient_dimension,
+    reduce_operators,
+)
+from symqaoa.simulator import Angles, Engine, maxcut_diagonal, orbit_spread
 
 N_MAX = 8
 # oracles.burnside_count walks every bitstring of every element in Python
@@ -42,11 +53,15 @@ def generator_sets(draw):
 
 
 @st.composite
-def graph_groups(draw):
-    n = draw(st.integers(1, N_MAX))
+def graphs(draw, n_max=N_MAX):
+    n = draw(st.integers(1, n_max))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return automorphism_generators(Graph.from_edges(n, edges))
+    return Graph.from_edges(n, edges)
+
+
+def graph_groups():
+    return graphs().map(automorphism_generators)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -58,6 +73,73 @@ def test_burnside_tally_matches_oracles(grp, flip):
     assert q.fixed_counts == oracles.burnside_fixed_counts(grp, flip)
     if len(elements) << grp.n <= BRUTE_BURNSIDE_STEPS:
         assert q.burnside_avg == oracles.burnside_count(grp.n, elements, flip)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(g=graphs(n_max=6))
+def test_generators_span_every_automorphism(g):
+    grp = automorphism_generators(g)
+    assert set(iter_elements(grp)) == set(oracles.brute_automorphisms(g.n, g.edges))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_relabelling_keeps_group_order_and_features(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    assert automorphism_generators(h).order() == automorphism_generators(g).order()
+    (log_g, orbits_g, entropy_g), (log_h, orbits_h, entropy_h) = exact_features(g), exact_features(h)
+    assert (log_h, orbits_h) == (log_g, orbits_g)
+    # entropy sums over the orbits in the order of their smallest labels
+    assert entropy_h == pytest.approx(entropy_g, abs=1e-12)
+    if g.m:
+        assert approx_features(h, 1) == pytest.approx(approx_features(g, 1), abs=1e-12)
+
+
+ANGLES = st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+                  min_size=1, max_size=3)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(g=graphs(), flip=st.booleans(), angles=ANGLES)
+def test_reduced_engine_matches_full(g, flip, angles):
+    betas, gammas = zip(*angles)
+    diag = maxcut_diagonal(g)
+    full = Engine(diag)
+    reduced = ReducedEngine(reduce_operators(diag, build_orbit_basis(g, flip)))
+    want = full.expectation(betas, gammas)
+    assert reduced.expectation(betas, gammas) == pytest.approx(want, abs=1e-11)
+    orbits = bitstring_orbits(automorphism_generators(g), include_global_flip=True)
+    assert max(orbit_spread(full.statevector(Angles(betas, gammas)), orbits)) <= 1e-12
+
+
+EDGE_FILE = b"4\n0 1\n1 2  # a path\n2 3\n"
+
+
+@st.composite
+def damaged_edge_files(draw):
+    data = bytearray(EDGE_FILE)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        data[at:at + draw(st.integers(0, 2))] = draw(st.binary(min_size=1, max_size=3))
+    return bytes(data)
+
+
+def test_damaged_edge_files_raise_parse_error(tmp_path_factory):
+    path = tmp_path_factory.mktemp("edges") / "g.edges"
+    path.write_bytes(EDGE_FILE)
+    assert read_edge_list(path).edges == ((0, 1), (1, 2), (2, 3))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(raw=st.one_of(st.binary(max_size=40), damaged_edge_files()))
+    def check(raw):
+        path.write_bytes(raw)
+        try:
+            read_edge_list(path)
+        except ParseError:
+            pass
+
+    check()
 
 
 def saved_model_lines(tmp_dir) -> list[str]:
