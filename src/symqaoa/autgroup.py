@@ -232,10 +232,15 @@ def automorphism_generators(g: Graph, node_cap: int = 10**7) -> PermGroup:
     an explored sibling under discovered generators fixing the node's prefix is
     redundant; (c) after a leaf yields an automorphism, the search backjumps to
     the deepest ancestor shared with the reference path.
+
+    A graph above 255 vertices raises SizeLimitError before the search, as
+    the stabilizer chain of its group would.
     """
     n = g.n
     if n < 1:
         raise InvalidParamsError("graph must have at least one vertex")
+    if n > 255:
+        raise SizeLimitError(f"automorphism search supports n <= 255, got {n}")
     ident = identity_perm(n)
     edges = g.edges
     adj = [tuple(s) for s in g.adjacency()]
@@ -443,8 +448,9 @@ def iter_elements(grp: PermGroup, cap: int = 10**6):
         yield from map(tuple, block.tolist())
 
 
-def cycle_counts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number of cycles c(P) and c(P^2) of every row P of a permutation block.
+def cycle_counts(block: np.ndarray, squared: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Number of cycles c(P) of every row P of a permutation block, and c(P^2)
+    if squared (else None).
 
     Pointer doubling: after k rounds, low[i] is the least of P^t(i) for
     t < 2^k, so ceil(log2 n) rounds reach around every cycle, and each cycle
@@ -459,5 +465,7 @@ def cycle_counts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for _ in range((n - 1).bit_length()):
         low = np.minimum(low, low[power])
         power = power[power]
-        low2 = np.minimum(low2, low2[power])
-    return (low == local).reshape(m, n).sum(axis=1), (low2 == local).reshape(m, n).sum(axis=1)
+        if squared:
+            low2 = np.minimum(low2, low2[power])
+    c2 = (low2 == local).reshape(m, n).sum(axis=1) if squared else None
+    return (low == local).reshape(m, n).sum(axis=1), c2

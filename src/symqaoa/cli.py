@@ -27,7 +27,7 @@ from symqaoa.dataset import (
     DatasetConfig,
     SplitSpec,
     dataset_report,
-    features_with_cap,
+    instance_seed,
     load_dataset,
     run_generation,
     standard_profile,
@@ -40,7 +40,7 @@ from symqaoa.errors import (
     SizeLimitError,
     WorkbenchError,
 )
-from symqaoa.features import FEATURE_NAMES
+from symqaoa.features import FEATURE_NAMES, feature_vector
 from symqaoa.graphs import (
     FAMILY_NAMES,
     NAMED_GRAPHS,
@@ -188,8 +188,8 @@ def cmd_gen_graphs(args) -> int:
 
 def cmd_features(args) -> int:
     g = read_edge_list(args.graph)
-    fv, _ = features_with_cap(g, args.max_pairs, args.seed, "cli")
-    values = fv.as_array()
+    seed = instance_seed(args.seed, "cli", "features")
+    values = feature_vector(g, args.max_pairs, seed).as_array()
     data = {name: float(v) for name, v in zip(FEATURE_NAMES, values)}
     data.update({"n": g.n, "m": g.m})
     _emit(data, args.json,
@@ -378,8 +378,8 @@ def cmd_predict(args) -> int:
         raise InvalidParamsError("predict needs exactly one of --graph or --features")
     predictor = load_model(args.model)
     if args.graph:
-        g = read_edge_list(args.graph)
-        feats = features_with_cap(g, MAX_PAIRS, args.seed, "cli")[0].as_array()
+        seed = instance_seed(args.seed, "cli", "features")
+        feats = feature_vector(read_edge_list(args.graph), MAX_PAIRS, seed).as_array()
     else:
         feats = np.array(_parse_numbers(args.features, len(FEATURE_NAMES), "--features"))
     reg = predictor.predict_regression(feats)

@@ -26,6 +26,7 @@ from symqaoa.mlmodel import (
     cross_validate_ordinal,
     median_abs_err,
     pearson_r,
+    shuffle_within_families,
     train_ordinal,
     train_regressor,
 )
@@ -237,16 +238,6 @@ def instance_seed(base_seed: int, instance_id: str, purpose: str) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def features_with_cap(g: Graph, max_pairs: int, base_seed: int, instance_id: str):
-    """Feature vector and the seed of its two-edge deletion sample: a graph
-    with more than max_pairs edge pairs averages over max_pairs sampled pairs,
-    the rest over every pair, with seed None."""
-    if math.comb(g.m, 2) > max_pairs:
-        feature_seed = instance_seed(base_seed, instance_id, "features")
-        return feature_vector(g, max_pairs=max_pairs, seed=feature_seed), feature_seed
-    return feature_vector(g), None
-
-
 def generate_instance(
     fam: GraphFamily, config: DatasetConfig, timing: bool = False
 ) -> InstanceRecord:
@@ -254,7 +245,8 @@ def generate_instance(
     start = time.perf_counter()
     iid = family_label(fam)
     g = generate(fam)
-    fv, feature_seed = features_with_cap(g, MAX_PAIRS, config.seed, iid)
+    feature_seed = instance_seed(config.seed, iid, "features")
+    fv = feature_vector(g, MAX_PAIRS, feature_seed)
     pmin_seed = instance_seed(config.seed, iid, "pmin")
     result = find_pmin(
         g,
@@ -282,7 +274,7 @@ def generate_instance(
         p_cap=config.p_cap,
         restarts=config.restarts,
         pmin_seed=pmin_seed,
-        feature_seed=feature_seed,
+        feature_seed=feature_seed if math.comb(g.m, 2) > MAX_PAIRS else None,
         software_version=__version__,
         seconds=round(time.perf_counter() - start, 3) if timing else None,
     )
@@ -354,7 +346,7 @@ def run_generation(
                 progress(written, len(pending), iid)
 
         if workers > 1 and len(tasks) > 1:
-            with multiprocessing.Pool(workers) as pool:
+            with multiprocessing.Pool(min(workers, len(tasks))) as pool:
                 for iid, line in pool.imap(_generation_task, tasks):
                     emit(iid, line)
         else:
@@ -382,14 +374,8 @@ def split_dataset(
 ) -> tuple[list[InstanceRecord], list[InstanceRecord]]:
     """Seeded per-family holdout; every family with >= 2 members lands in both
     splits. Returns (train, test) in the original record order."""
-    by_family: dict[str, list[int]] = {}
-    for i, rec in enumerate(records):
-        by_family.setdefault(rec.family, []).append(i)
-    rng = np.random.default_rng(spec.seed)
     test_idx: set[int] = set()
-    for fam in sorted(by_family):
-        idx = np.array(by_family[fam])
-        rng.shuffle(idx)
+    for idx in shuffle_within_families([rec.family for rec in records], spec.seed):
         count = len(idx)
         want = int(round(spec.test_fraction * count))
         want = min(max(want, 1), count - 1) if count >= 2 else 0

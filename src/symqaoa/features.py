@@ -7,9 +7,9 @@ variants grades symmetry continuously instead of all-or-nothing.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,22 +17,11 @@ from .autgroup import automorphism_generators, vertex_orbits
 from .errors import InvalidParamsError
 from .graphs import Graph
 
-FEATURE_NAMES = (
-    "log_aut",
-    "avg_log_aut_1",
-    "avg_log_aut_2",
-    "n_vertices",
-    "n_orbits",
-    "avg_orbits_1",
-    "avg_orbits_2",
-    "entropy",
-    "avg_entropy_1",
-    "avg_entropy_2",
-)
 
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SymmetryFeatures:
+    """The ten features; their field order is FEATURE_NAMES and the array order."""
+
     log_aut: float
     avg_log_aut_1: float
     avg_log_aut_2: float
@@ -45,7 +34,10 @@ class SymmetryFeatures:
     avg_entropy_2: float
 
     def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
+        return np.array(dataclasses.astuple(self), dtype=np.float64)
+
+
+FEATURE_NAMES = tuple(f.name for f in dataclasses.fields(SymmetryFeatures))
 
 
 def graph_entropy(orbits: list[list[int]], n: int) -> float:
@@ -105,7 +97,9 @@ def approx_features(
 def feature_vector(
     g: Graph, max_pairs: int | None = None, seed: int | None = None
 ) -> SymmetryFeatures:
-    """All ten symmetry features of a graph with at least two edges."""
+    """All ten symmetry features of a graph with at least two edges. A graph
+    with more than max_pairs two-edge deletion pairs averages over a sample of
+    max_pairs of them drawn with seed; the others ignore the seed."""
     if g.m < 2:
         raise InvalidParamsError(f"feature vector needs at least 2 edges, got {g.m}")
     log_aut, n_orbits, entropy = exact_features(g)

@@ -19,21 +19,6 @@ NAMED_GRAPHS = (
     "icosahedron",
 )
 
-FAMILY_NAMES = (
-    "complete",
-    "cycle",
-    "star",
-    "wheel",
-    "ladder",
-    "circular-ladder",
-    "antiprism",
-    "grid2d",
-    "random-regular",
-    "trivial-aut",
-    "hand-picked",
-    "custom",
-)
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -239,39 +224,37 @@ class GraphFamily:
     seed: int | None = None
 
 
+# One builder per family name, called with the family's params and the family
+# itself (random families read its seed); FAMILY_NAMES lists them in this order.
+_BUILDERS = {
+    "complete": lambda p, fam: complete(p["n"]),
+    "cycle": lambda p, fam: cycle(p["n"]),
+    "star": lambda p, fam: star(p["n"]),
+    "wheel": lambda p, fam: wheel(p["n"]),
+    "ladder": lambda p, fam: ladder(p["k"]),
+    "circular-ladder": lambda p, fam: circular_ladder(p["k"]),
+    "antiprism": lambda p, fam: antiprism(p["k"]),
+    "grid2d": lambda p, fam: grid2d(p["rows"], p["cols"], bool(p.get("periodic", False))),
+    "random-regular": lambda p, fam: random_regular(p["n"], p["k"], _need_seed(fam)),
+    "trivial-aut": lambda p, fam: trivial_aut_graph(p["n"], p.get("k", 3), _need_seed(fam)),
+    "hand-picked": lambda p, fam: named(p["graph"]),
+    "custom": lambda p, fam: (
+        read_edge_list(p["path"]) if "path" in p
+        else Graph.from_edges(p["n"], [tuple(e) for e in p["edges"]])
+    ),
+}
+FAMILY_NAMES = tuple(_BUILDERS)
+
+
 def generate(family: GraphFamily) -> Graph:
     """Build the graph described by a GraphFamily, deterministically."""
     name, p = family.name, dict(family.params)
+    if name not in _BUILDERS:
+        raise InvalidParamsError(f"unknown family {name!r}; choices: {FAMILY_NAMES}")
     try:
-        if name == "complete":
-            return complete(p["n"])
-        if name == "cycle":
-            return cycle(p["n"])
-        if name == "star":
-            return star(p["n"])
-        if name == "wheel":
-            return wheel(p["n"])
-        if name == "ladder":
-            return ladder(p["k"])
-        if name == "circular-ladder":
-            return circular_ladder(p["k"])
-        if name == "antiprism":
-            return antiprism(p["k"])
-        if name == "grid2d":
-            return grid2d(p["rows"], p["cols"], bool(p.get("periodic", False)))
-        if name == "random-regular":
-            return random_regular(p["n"], p["k"], _need_seed(family))
-        if name == "trivial-aut":
-            return trivial_aut_graph(p["n"], p.get("k", 3), _need_seed(family))
-        if name == "hand-picked":
-            return named(p["graph"])
-        if name == "custom":
-            if "path" in p:
-                return read_edge_list(p["path"])
-            return Graph.from_edges(p["n"], [tuple(e) for e in p["edges"]])
+        return _BUILDERS[name](p, family)
     except KeyError as exc:
         raise InvalidParamsError(f"family {name!r} missing parameter {exc}") from exc
-    raise InvalidParamsError(f"unknown family {name!r}; choices: {FAMILY_NAMES}")
 
 
 def _need_seed(family: GraphFamily) -> int:

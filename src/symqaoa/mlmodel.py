@@ -361,21 +361,27 @@ def load_model(path) -> PminPredictor:
     return PminPredictor(Standardizer(means, stds, mask), reg, ensemble, reg.gamma, reg.lam)
 
 
+def shuffle_within_families(families, seed) -> list[np.ndarray]:
+    """The indices of each family's members, families in sorted order, each
+    shuffled in turn by one generator seeded with seed."""
+    by_family: dict[str, list[int]] = {}
+    for i, fam in enumerate(families):
+        by_family.setdefault(fam, []).append(i)
+    rng = np.random.default_rng(seed)
+    groups = [np.array(by_family[fam]) for fam in sorted(by_family)]
+    for idx in groups:
+        rng.shuffle(idx)
+    return groups
+
+
 def stratified_folds(families, n_folds: int, seed) -> list[np.ndarray]:
     """Round-robin fold assignment within each family after a seeded shuffle, so
     every fold sees every family that has enough members."""
     families = list(families)
-    rng = np.random.default_rng(seed)
     assignment = np.empty(len(families), dtype=np.int64)
-    by_family: dict[str, list[int]] = {}
-    for i, fam in enumerate(families):
-        by_family.setdefault(fam, []).append(i)
     offset = 0
-    for fam in sorted(by_family):
-        idx = np.array(by_family[fam])
-        rng.shuffle(idx)
-        for j, i in enumerate(idx):
-            assignment[i] = (offset + j) % n_folds
+    for idx in shuffle_within_families(families, seed):
+        assignment[idx] = (offset + np.arange(len(idx))) % n_folds
         offset += len(idx)
     return [np.flatnonzero(assignment == f) for f in range(n_folds)]
 

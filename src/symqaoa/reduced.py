@@ -89,7 +89,7 @@ def _burnside_tally(grp: BitstringGroup) -> tuple[tuple[int, ...], int]:
     shared = np.array(pow2, dtype=object)  # one int object per value
     plain, flipped = [], []
     for block in iter_element_blocks(grp.perm_group, cap=ENUMERATION_CAP):
-        c, c2 = cycle_counts(block)
+        c, c2 = cycle_counts(block, grp.include_flip)
         plain.append(c.astype(np.uint16))
         if grp.include_flip:
             flipped.append(np.where(2 * c == c2, c, n + 1).astype(np.uint16))

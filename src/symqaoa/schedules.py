@@ -204,11 +204,12 @@ def find_pmin(
     """Scan depths p_start..p_cap until the optimized ratio meets the target.
 
     Each depth draws an independent seed stream keyed by p, so results for one
-    depth do not depend on where the scan started. A target above 1 is allowed
-    and simply censors (no ratio can exceed 1).
+    depth do not depend on where the scan started. The target must be positive
+    and finite; a finite target above 1 is allowed and simply censors (no ratio
+    can exceed 1).
     """
-    if target_ratio <= 0:
-        raise InvalidParamsError(f"target ratio must be positive, got {target_ratio}")
+    if not (0 < target_ratio < math.inf):
+        raise InvalidParamsError(f"target ratio must be positive and finite, got {target_ratio}")
     if p_start < 1 or p_cap < p_start:
         raise InvalidParamsError(f"bad depth range [{p_start}, {p_cap}]")
     entropy = np.random.SeedSequence(seed).entropy

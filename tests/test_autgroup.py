@@ -203,6 +203,15 @@ def test_size_limits():
         bitstring_action(tuple(range(21)))
 
 
+def test_search_refuses_more_than_255_vertices():
+    # the stabilizer chain holds degree <= 255, so the search does not start
+    path = lambda n: Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    reversal = tuple(range(254, -1, -1))
+    assert automorphism_generators(path(255)).generators == (reversal,)
+    with pytest.raises(SizeLimitError, match="255"):
+        automorphism_generators(path(256))
+
+
 def test_generators_validate():
     with pytest.raises(InvalidParamsError):
         PermGroup(3, ((0, 1),))

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from symqaoa import autgroup, cli, reduced, simulator
+from symqaoa import autgroup, cli, dataset, reduced, simulator
 from symqaoa.cli import main
 from symqaoa.dataset import (
     DatasetConfig,
@@ -27,6 +27,7 @@ from symqaoa.dataset import (
 from symqaoa.errors import InsufficientDataError, InvalidParamsError, ParseError
 from symqaoa.features import feature_vector
 from symqaoa.graphs import (
+    Graph,
     GraphFamily,
     complete,
     cycle,
@@ -268,6 +269,41 @@ def test_generation_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_generation_rejects_non_finite_target(tmp_path):
+    path = tmp_path / "tiny.jsonl"
+    for target in (math.nan, math.inf):
+        with pytest.raises(InvalidParamsError, match="finite"):
+            run_generation(dataclasses.replace(TINY, target_ratio=target), path)
+        assert path.read_bytes() == b""
+
+
+def test_generation_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks):
+            return map(func, tasks)
+
+    monkeypatch.setattr(dataset.multiprocessing, "Pool", RecordingPool)
+    path = tmp_path / "tiny.jsonl"
+    two_left = dataclasses.replace(TINY, families=TINY.families[:2])
+    assert run_generation(two_left, path) == 2
+    assert run_generation(TINY, path, workers=64) == 2
+    assert started == [2]
+    serial = tmp_path / "serial.jsonl"
+    run_generation(TINY, serial)
+    assert path.read_bytes() == serial.read_bytes()
+
+
 def test_split_dataset_stratified():
     records = (
         [make_record(i, "a", 3) for i in range(6)]
@@ -481,6 +517,27 @@ def test_cli_pmin(tmp_path, capsys):
     assert data["censored"] is False
     assert data["ratio_achieved"] >= 0.95
     assert trace.read_text().startswith("p,best_ratio,")
+
+
+@pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+def test_cli_pmin_rejects_non_finite_target(tmp_path, capsys, target):
+    path = petersen_file(tmp_path)
+    capsys.readouterr()
+    code = main([f"--target-ratio={target}", "--p-cap", "3", "--restarts", "1", "pmin", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_rejects_graphs_above_255_vertices(tmp_path, capsys):
+    # the automorphism search stops before it starts, not in a RecursionError
+    path = tmp_path / "big.edges"
+    write_edge_list(Graph.from_edges(3000, [(0, 1), (2, 3)]), path)
+    for verb in ("features", "reduce"):
+        capsys.readouterr()
+        assert main([verb, str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "255" in err and "Traceback" not in err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -124,13 +124,41 @@ def test_named_graphs():
         named("nope")
 
 
-def test_generate_dispatch():
-    assert generate(GraphFamily("complete", {"n": 5})) == complete(5)
-    assert generate(GraphFamily("grid2d", {"rows": 2, "cols": 4})) == grid2d(2, 4)
-    assert generate(GraphFamily("hand-picked", {"graph": "petersen"})) == named("petersen")
-    got = generate(GraphFamily("random-regular", {"n": 8, "k": 3}, seed=4))
-    assert got == random_regular(8, 3, seed=4)
-    assert generate(GraphFamily("custom", {"n": 3, "edges": [[0, 1], [1, 2]]})).m == 2
+def test_generate_dispatch(tmp_path):
+    path = tmp_path / "custom.edges"
+    write_edge_list(wheel(6), path)
+    cases = [
+        (GraphFamily("complete", {"n": 5}), complete(5)),
+        (GraphFamily("cycle", {"n": 6}), cycle(6)),
+        (GraphFamily("star", {"n": 5}), star(5)),
+        (GraphFamily("wheel", {"n": 7}), wheel(7)),
+        (GraphFamily("ladder", {"k": 4}), ladder(4)),
+        (GraphFamily("circular-ladder", {"k": 5}), circular_ladder(5)),
+        (GraphFamily("antiprism", {"k": 4}), antiprism(4)),
+        (GraphFamily("grid2d", {"rows": 2, "cols": 4}), grid2d(2, 4)),
+        (GraphFamily("grid2d", {"rows": 3, "cols": 4, "periodic": True}), grid2d(3, 4, True)),
+        (GraphFamily("random-regular", {"n": 8, "k": 3}, seed=4), random_regular(8, 3, seed=4)),
+        (GraphFamily("trivial-aut", {"n": 12}, seed=700), trivial_aut_graph(12, 3, seed=700)),
+        (GraphFamily("hand-picked", {"graph": "petersen"}), named("petersen")),
+        (GraphFamily("custom", {"n": 3, "edges": [[0, 1], [1, 2]]}),
+         Graph.from_edges(3, [(0, 1), (1, 2)])),
+        (GraphFamily("custom", {"path": str(path)}), wheel(6)),
+    ]
+    for fam, want in cases:
+        assert generate(fam) == want, fam
+    assert sorted({fam.name for fam, _ in cases}) == sorted(FAMILY_NAMES)
+    assert grid2d(3, 4, True).m == 24 and grid2d(3, 4).m == 17
+    errors = [
+        (GraphFamily("ladder", {"n": 4}), "family 'ladder' missing parameter 'k'"),
+        (GraphFamily("grid2d", {"rows": 2}), "family 'grid2d' missing parameter 'cols'"),
+        (GraphFamily("custom", {"n": 3}), "family 'custom' missing parameter 'edges'"),
+        (GraphFamily("trivial-aut", {"n": 12}), "family 'trivial-aut' requires a seed"),
+        (GraphFamily("bogus", {}), f"unknown family 'bogus'; choices: {FAMILY_NAMES}"),
+    ]
+    for fam, message in errors:
+        with pytest.raises(InvalidParamsError) as info:
+            generate(fam)
+        assert str(info.value) == message
 
 
 def test_generate_requires_seed_for_random_families():
