@@ -13,6 +13,10 @@ import numpy as np
 from .errors import InvalidParamsError, SearchBudgetError, SizeLimitError
 from .graphs import Graph
 
+DEGREE_CAP = 255  # largest degree of the stabilizer chain and the automorphism search
+BITSTRING_N_CAP = 20  # largest n whose 2^n bitstring index tables are built
+ENUMERATION_CAP = 8 * 10**6  # largest group order iter_element_blocks enumerates by default
+SEARCH_NODE_CAP = 10**7  # search-tree nodes automorphism_generators visits before giving up
 Perm = tuple[int, ...]
 
 
@@ -110,7 +114,7 @@ class PermGroup:
 
 # Chain internals store permutations as 256-byte translate tables with an
 # identity tail: compose(a, b) is then b.translate(a), a single C call, and the
-# identity-tail padding is closed under composition. Degree is capped at 255.
+# identity-tail padding is closed under composition. Degree is capped at DEGREE_CAP.
 _IDENT256 = bytes(range(256))
 
 
@@ -138,8 +142,8 @@ class _StabilizerChain:
     """
 
     def __init__(self, n: int, generators):
-        if n > 255:
-            raise SizeLimitError(f"stabilizer chain supports degree <= 255, got {n}")
+        if n > DEGREE_CAP:
+            raise SizeLimitError(f"stabilizer chain supports degree <= {DEGREE_CAP}, got {n}")
         self.n = n
         self.base: list[int] = []
         self.sgens: list[list[bytes]] = []
@@ -222,7 +226,7 @@ def _orbit_transversal(gens: list[bytes], point: int) -> dict[int, bytes]:
     return reps
 
 
-def automorphism_generators(g: Graph, node_cap: int = 10**7) -> PermGroup:
+def automorphism_generators(g: Graph) -> PermGroup:
     """Generators of Aut(g) by individualization-refinement backtracking.
 
     The tree refines an ordered partition, branching on the first smallest
@@ -233,14 +237,14 @@ def automorphism_generators(g: Graph, node_cap: int = 10**7) -> PermGroup:
     redundant; (c) after a leaf yields an automorphism, the search backjumps to
     the deepest ancestor shared with the reference path.
 
-    A graph above 255 vertices raises SizeLimitError before the search, as
-    the stabilizer chain of its group would.
+    A graph above DEGREE_CAP vertices raises SizeLimitError before the
+    search, as the stabilizer chain of its group would.
     """
     n = g.n
     if n < 1:
         raise InvalidParamsError("graph must have at least one vertex")
-    if n > 255:
-        raise SizeLimitError(f"automorphism search supports n <= 255, got {n}")
+    if n > DEGREE_CAP:
+        raise SizeLimitError(f"automorphism search supports n <= {DEGREE_CAP}, got {n}")
     ident = identity_perm(n)
     edges = g.edges
     adj = [tuple(s) for s in g.adjacency()]
@@ -260,8 +264,8 @@ def automorphism_generators(g: Graph, node_cap: int = 10**7) -> PermGroup:
     def search(colors: tuple[int, ...], depth: int, prefix: list[int]):
         nonlocal nodes, ref_leaf, ref_cert, ref_prefix
         nodes += 1
-        if nodes > node_cap:
-            raise SearchBudgetError(f"automorphism search exceeded {node_cap} nodes")
+        if nodes > SEARCH_NODE_CAP:
+            raise SearchBudgetError(f"automorphism search exceeded {SEARCH_NODE_CAP} nodes")
         cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
         for v, c in enumerate(colors):
             cells[c].append(v)
@@ -338,8 +342,8 @@ def vertex_orbits(grp: PermGroup) -> list[list[int]]:
 def bitstring_action(perm: Perm) -> np.ndarray:
     """Index map of the bit-position action: bit perm[i] of the image = bit i of x."""
     n = len(perm)
-    if n > 20:
-        raise SizeLimitError(f"bit action table needs n <= 20, got {n}")
+    if n > BITSTRING_N_CAP:
+        raise SizeLimitError(f"bit action table needs n <= {BITSTRING_N_CAP}, got {n}")
     x = np.arange(1 << n, dtype=np.int64)
     y = np.zeros_like(x)
     for i, t in enumerate(perm):
@@ -349,8 +353,8 @@ def bitstring_action(perm: Perm) -> np.ndarray:
 
 def flip_action(n: int) -> np.ndarray:
     """Index map of the global bit flip x -> complement(x)."""
-    if n > 20:
-        raise SizeLimitError(f"flip table needs n <= 20, got {n}")
+    if n > BITSTRING_N_CAP:
+        raise SizeLimitError(f"flip table needs n <= {BITSTRING_N_CAP}, got {n}")
     return np.arange((1 << n) - 1, -1, -1, dtype=np.int64)
 
 
@@ -378,8 +382,8 @@ def bitstring_orbits(grp: PermGroup, include_global_flip: bool = False) -> Bitst
     cycles.
     """
     n = grp.n
-    if n > 20:
-        raise SizeLimitError(f"bitstring orbits need n <= 20, got {n}")
+    if n > BITSTRING_N_CAP:
+        raise SizeLimitError(f"bitstring orbits need n <= {BITSTRING_N_CAP}, got {n}")
     ident = identity_perm(n)
     maps = [bitstring_action(s) for s in dict.fromkeys(grp.generators) if s != ident]
     if include_global_flip:
@@ -402,7 +406,7 @@ def bitstring_orbits(grp: PermGroup, include_global_flip: bool = False) -> Bitst
 _BLOCK_ROWS = 4096
 
 
-def iter_element_blocks(grp: PermGroup, cap: int = 10**6):
+def iter_element_blocks(grp: PermGroup, cap: int = ENUMERATION_CAP):
     """Yield every group element exactly once, as uint8 blocks of shape (m, n)
     whose rows are image tables.
 
@@ -441,7 +445,7 @@ def iter_element_blocks(grp: PermGroup, cap: int = 10**6):
         yield inner[:, s]
 
 
-def iter_elements(grp: PermGroup, cap: int = 10**6):
+def iter_elements(grp: PermGroup, cap: int = ENUMERATION_CAP):
     """Yield every group element exactly once, as Perm tuples, in the order of
     iter_element_blocks."""
     for block in iter_element_blocks(grp, cap):

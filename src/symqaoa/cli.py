@@ -17,6 +17,7 @@ import numpy as np
 
 from symqaoa import __version__
 from symqaoa.autgroup import (
+    BITSTRING_N_CAP,
     automorphism_generators,
     bitstring_action,
     bitstring_orbits,
@@ -51,7 +52,7 @@ from symqaoa.graphs import (
     write_edge_list,
 )
 from symqaoa.mlmodel import load_model, save_model
-from symqaoa.reduced import GENERIC_N_CAP, ORBIT_N_CAP, BitstringGroup, quotient_dimension
+from symqaoa.reduced import BitstringGroup, quotient_dimension
 from symqaoa.schedules import (
     BETA_MAX,
     GAMMA_MAX,
@@ -61,6 +62,7 @@ from symqaoa.schedules import (
     trace_csv,
 )
 from symqaoa.simulator import (
+    CONDITION_N_CAP,
     Angles,
     Engine,
     check_symmetry_conditions,
@@ -271,7 +273,7 @@ def cmd_reduce(args) -> int:
     lines = []
     perm_group = automorphism_generators(g)  # one search; both groups share its chain
     for flip in (False, True):
-        qc = quotient_dimension(BitstringGroup(g.n, perm_group, flip))
+        qc = quotient_dimension(BitstringGroup(perm_group, flip))
         key = "flip_on" if flip else "flip_off"
         data[key] = {
             "dim": qc.dim,
@@ -288,8 +290,10 @@ def cmd_reduce(args) -> int:
 
 def cmd_verify(args) -> int:
     g = read_edge_list(args.graph)
-    if g.n > ORBIT_N_CAP:
-        raise SizeLimitError(f"verify needs n <= {ORBIT_N_CAP}, got {g.n}")
+    if g.n > BITSTRING_N_CAP:
+        raise SizeLimitError(f"verify needs n <= {BITSTRING_N_CAP}, got {g.n}")
+    if args.depth < 1:
+        raise InvalidParamsError(f"depth must be >= 1, got {args.depth}")
     rng = np.random.default_rng(args.seed)
     betas = tuple(rng.uniform(0.0, BETA_MAX, args.depth))
     gammas = tuple(rng.uniform(0.0, GAMMA_MAX, args.depth))
@@ -299,15 +303,12 @@ def cmd_verify(args) -> int:
     orbits = bitstring_orbits(grp, include_global_flip=True)
     spread = orbit_spread(state, orbits)
 
-    conditions_ok = True
-    checked = 0
-    if g.n <= GENERIC_N_CAP:
-        mappings = [flip_action(g.n)]
-        mappings += [bitstring_action(perm) for perm in grp.generators]
-        for mapping in mappings:
-            flags = check_symmetry_conditions(mapping, diag)
-            conditions_ok &= flags.cost_commutes and flags.mixer_commutes
-            checked += 1
+    mappings = []
+    if g.n <= CONDITION_N_CAP:
+        mappings = [flip_action(g.n)] + [bitstring_action(perm) for perm in grp.generators]
+    checked = len(mappings)
+    flags = [check_symmetry_conditions(m, diag) for m in mappings]
+    conditions_ok = all(f.cost_commutes and f.mixer_commutes for f in flags)
 
     ok = (
         spread.probability <= SPREAD_TOLERANCE

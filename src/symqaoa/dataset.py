@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from symqaoa import __version__
-from symqaoa.errors import ConstantInputError, InsufficientDataError, InvalidParamsError, ParseError
+from symqaoa.errors import (
+    ConstantInputError,
+    InsufficientDataError,
+    InvalidParamsError,
+    ParseError,
+    SizeLimitError,
+)
 from symqaoa.features import FEATURE_NAMES, feature_vector
 from symqaoa.graphs import Graph, GraphFamily, generate
 from symqaoa.mlmodel import (
@@ -30,7 +36,8 @@ from symqaoa.mlmodel import (
     train_ordinal,
     train_regressor,
 )
-from symqaoa.schedules import LinearSchedule, find_pmin
+from symqaoa.schedules import LinearSchedule, check_search, find_pmin
+from symqaoa.simulator import MAX_QUBITS
 
 SCHEMA_VERSION = 1
 
@@ -188,6 +195,7 @@ class DatasetConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_search(self.target_ratio, self.p_start, self.p_cap, self.restarts)
         labels = [family_label(f) for f in self.families]
         if len(set(labels)) != len(labels):
             dupes = sorted({x for x in labels if labels.count(x) > 1})
@@ -197,9 +205,12 @@ class DatasetConfig:
 def standard_profile(max_n: int = 14) -> tuple[GraphFamily, ...]:
     """The shipped instance mix: structured families swept over n, random-regular
     and near-asymmetric graphs at several seeds, and a few hand-picked graphs.
-    At max_n = 14 this yields 130 instances."""
+    At max_n = 14 this yields 130 instances. Its largest graph has max_n
+    vertices, so max_n above MAX_QUBITS raises SizeLimitError."""
     if max_n < 6:
         raise InvalidParamsError(f"profile needs max_n >= 6, got {max_n}")
+    if max_n > MAX_QUBITS:
+        raise SizeLimitError(f"profile needs max_n <= {MAX_QUBITS}, got {max_n}")
     fams: list[GraphFamily] = []
     fams += [GraphFamily("complete", {"n": n}) for n in range(3, max_n + 1)]
     fams += [GraphFamily("cycle", {"n": n}) for n in range(3, max_n + 1)]

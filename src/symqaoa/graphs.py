@@ -9,6 +9,8 @@ import numpy as np
 
 from .errors import InvalidParamsError, ParseError
 
+REGULAR_TRIES = 20000  # pairings random_regular draws before it gives up
+ASYMMETRIC_TRIES = 3000  # regular graphs trivial_aut_graph draws before it gives up
 NAMED_GRAPHS = (
     "petersen",
     "heawood",
@@ -166,16 +168,16 @@ def grid2d(rows: int, cols: int, periodic: bool = False) -> Graph:
     return Graph.from_edges(rows * cols, edges)
 
 
-def random_regular(n: int, k: int, seed: int, max_tries: int = 20000) -> Graph:
+def random_regular(n: int, k: int, seed: int) -> Graph:
     """Random connected k-regular graph via the configuration model with rejection.
 
     Dense cases reject most pairings (k = 5, n = 8 keeps only ~0.3%), hence the
-    large retry budget; each try is O(nk)."""
+    large retry budget REGULAR_TRIES; each try is O(nk)."""
     if k < 1 or k >= n or (n * k) % 2 != 0:
         raise InvalidParamsError(f"no {k}-regular graph on {n} vertices")
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), k)
-    for _ in range(max_tries):
+    for _ in range(REGULAR_TRIES):
         perm = rng.permutation(stubs)
         pairs = perm.reshape(-1, 2)
         if np.any(pairs[:, 0] == pairs[:, 1]):
@@ -187,23 +189,23 @@ def random_regular(n: int, k: int, seed: int, max_tries: int = 20000) -> Graph:
         if is_connected(g):
             return g
     raise InvalidParamsError(
-        f"could not sample a connected {k}-regular graph on {n} vertices in {max_tries} tries"
+        f"could not sample a connected {k}-regular graph on {n} vertices in {REGULAR_TRIES} tries"
     )
 
 
-def trivial_aut_graph(n: int, k: int, seed: int, max_tries: int = 3000) -> Graph:
+def trivial_aut_graph(n: int, k: int, seed: int) -> Graph:
     """Random k-regular graph rejection-sampled until its automorphism group is trivial."""
     # Lazy import: autgroup depends on this module for the Graph type.
     from .autgroup import automorphism_generators
 
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(ASYMMETRIC_TRIES):
         sub = int(rng.integers(0, 2**63 - 1))
         g = random_regular(n, k, sub)
         if not automorphism_generators(g).generators:
             return g
     raise InvalidParamsError(
-        f"no asymmetric {k}-regular graph on {n} vertices found in {max_tries} tries"
+        f"no asymmetric {k}-regular graph on {n} vertices found in {ASYMMETRIC_TRIES} tries"
     )
 
 

@@ -29,6 +29,7 @@ from .errors import (
 DEFAULT_CUTOFFS = tuple(range(3, 16))
 GAMMA_GRID = (0.01, 0.1, 1.0, 10.0)
 LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
+N_FOLDS = 5  # folds of both cross-validations
 
 LOGISTIC_ITERS = 2000
 LOGISTIC_STEP = 0.1
@@ -386,15 +387,15 @@ def stratified_folds(families, n_folds: int, seed) -> list[np.ndarray]:
     return [np.flatnonzero(assignment == f) for f in range(n_folds)]
 
 
-def _grid_search(x, y, families, seed, n_folds, gammas, lams, fit_fold):
+def _grid_search(x, y, families, seed, gammas, lams, fit_fold):
     """The loop of both cross-validations: one standardizer per fold, one kernel
     per (gamma, fold), and fit_fold(k_train, k_held, y_train, lams) giving the
     held-out predictions, one column per lambda. Rows with y = +inf train but
     are not scored."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if len(x) < n_folds:
-        raise InsufficientDataError(f"need at least {n_folds} rows, got {len(x)}")
+    if len(x) < N_FOLDS:
+        raise InsufficientDataError(f"need at least {N_FOLDS} rows, got {len(x)}")
     scored = np.isfinite(y)
     if not scored.any():
         raise DegenerateLabelsError("all depths are censored; nothing to score")
@@ -402,7 +403,7 @@ def _grid_search(x, y, families, seed, n_folds, gammas, lams, fit_fold):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         folds = []
-        for held in stratified_folds(families, n_folds, seed):
+        for held in stratified_folds(families, N_FOLDS, seed):
             if len(held):
                 train = np.setdiff1d(np.arange(len(y)), held)
                 std = Standardizer.fit(x[train])
@@ -425,7 +426,6 @@ def cross_validate(
     y: np.ndarray,
     families,
     seed,
-    n_folds: int = 5,
     gammas=GAMMA_GRID,
     lams=LAMBDA_GRID,
 ) -> tuple[float, float, float]:
@@ -437,7 +437,7 @@ def cross_validate(
         fits = [_ridge_solve(k_train, y_train, lam) for lam in lams]
         return np.column_stack([k_held @ weights + bias for weights, bias in fits])
 
-    return _grid_search(x, y, families, seed, n_folds, gammas, lams, fit_fold)
+    return _grid_search(x, y, families, seed, gammas, lams, fit_fold)
 
 
 def cross_validate_ordinal(
@@ -445,7 +445,6 @@ def cross_validate_ordinal(
     y: np.ndarray,
     families,
     seed,
-    n_folds: int = 5,
     gammas=GAMMA_GRID,
     lams=LAMBDA_GRID,
     cutoffs=DEFAULT_CUTOFFS,
@@ -462,4 +461,4 @@ def cross_validate_ordinal(
         y_min, top = float(y_train[np.isfinite(y_train)].min()), float(max(retained))
         return np.array([[_ordinal_root(d, retained, y_min, top) for d in row] for row in d_z])
 
-    return _grid_search(x, y, families, seed, n_folds, gammas, lams, fit_fold)
+    return _grid_search(x, y, families, seed, gammas, lams, fit_fold)

@@ -3,8 +3,8 @@
 When the cost is constant on the orbits of a bitstring symmetry group, the
 dynamics stay inside the span of the normalized orbit sums, so one amplitude
 per orbit suffices. Two routes: a generic orbit basis built by explicit
-enumeration (n <= 16), and a closed-form Hamming-weight ladder for complete
-graphs at any n. Both assume the uniform initial state.
+enumeration (n <= GENERIC_N_CAP), and a closed-form Hamming-weight ladder
+for complete graphs at any n. Both assume the uniform initial state.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .autgroup import (
+    BITSTRING_N_CAP,
+    ENUMERATION_CAP,
     BitstringOrbits,
     PermGroup,
     automorphism_generators,
@@ -28,8 +30,6 @@ from .errors import InvalidParamsError, NotInvariantError, SizeLimitError
 from .graphs import Graph
 from .simulator import CostDiagonal, StateVector
 
-ENUMERATION_CAP = 8 * 10**6
-ORBIT_N_CAP = 20
 GENERIC_N_CAP = 16
 
 
@@ -38,13 +38,8 @@ class BitstringGroup:
     """Bit-permutation group induced by vertex permutations, optionally extended
     by the global flip (which commutes with every bit permutation)."""
 
-    n: int
     perm_group: PermGroup
     include_flip: bool = False
-
-    def __post_init__(self):
-        if self.perm_group.n != self.n:
-            raise InvalidParamsError("permutation degree does not match n")
 
     def order(self) -> int:
         base = self.perm_group.order()
@@ -52,7 +47,7 @@ class BitstringGroup:
 
 
 def symmetry_group(g: Graph, include_flip: bool = False) -> BitstringGroup:
-    return BitstringGroup(g.n, automorphism_generators(g), include_flip)
+    return BitstringGroup(automorphism_generators(g), include_flip)
 
 
 @dataclass(frozen=True)
@@ -83,12 +78,12 @@ def _burnside_tally(grp: BitstringGroup) -> tuple[tuple[int, ...], int]:
     odd cycle forces a bit to differ from itself, so it fixes none unless all
     cycles are even, which is when P^2 has twice as many cycles as P.
     """
-    n = grp.n
+    n = grp.perm_group.n
     # 2^c for c cycles; the extra index n + 1 is a flipped element with an odd cycle
     pow2 = [1 << c for c in range(n + 1)] + [0]
     shared = np.array(pow2, dtype=object)  # one int object per value
     plain, flipped = [], []
-    for block in iter_element_blocks(grp.perm_group, cap=ENUMERATION_CAP):
+    for block in iter_element_blocks(grp.perm_group):
         c, c2 = cycle_counts(block, grp.include_flip)
         plain.append(c.astype(np.uint16))
         if grp.include_flip:
@@ -103,13 +98,13 @@ def _burnside_tally(grp: BitstringGroup) -> tuple[tuple[int, ...], int]:
 
 def quotient_dimension(grp: BitstringGroup) -> QuotientCount:
     """|B/A| for the bitstring action; exact integers throughout."""
-    n = grp.n
+    n = grp.perm_group.n
     order = grp.order()
     can_enumerate = order <= ENUMERATION_CAP
-    can_orbit = n <= ORBIT_N_CAP
+    can_orbit = n <= BITSTRING_N_CAP
     if not can_enumerate and not can_orbit:
         raise SizeLimitError(
-            f"group order {order} exceeds {ENUMERATION_CAP} and n={n} exceeds {ORBIT_N_CAP}"
+            f"group order {order} exceeds {ENUMERATION_CAP} and n={n} exceeds {BITSTRING_N_CAP}"
         )
     burnside_avg = None
     fixed_counts = None

@@ -193,6 +193,17 @@ class PminResult:
     trace: tuple[TraceEntry, ...]
 
 
+def check_search(target_ratio: float, p_start: int, p_cap: int, restarts: int) -> None:
+    """Raise InvalidParamsError unless the target ratio is positive and finite,
+    1 <= p_start <= p_cap, and restarts >= 1."""
+    if not (0 < target_ratio < math.inf):
+        raise InvalidParamsError(f"target ratio must be positive and finite, got {target_ratio}")
+    if p_start < 1 or p_cap < p_start:
+        raise InvalidParamsError(f"bad depth range [{p_start}, {p_cap}]")
+    if restarts < 1:
+        raise InvalidParamsError(f"need restarts >= 1, got {restarts}")
+
+
 def find_pmin(
     g: Graph,
     target_ratio: float = 0.95,
@@ -204,14 +215,11 @@ def find_pmin(
     """Scan depths p_start..p_cap until the optimized ratio meets the target.
 
     Each depth draws an independent seed stream keyed by p, so results for one
-    depth do not depend on where the scan started. The target must be positive
-    and finite; a finite target above 1 is allowed and simply censors (no ratio
-    can exceed 1).
+    depth do not depend on where the scan started. The settings must pass
+    check_search; a finite target above 1 is allowed and simply censors (no
+    ratio can exceed 1).
     """
-    if not (0 < target_ratio < math.inf):
-        raise InvalidParamsError(f"target ratio must be positive and finite, got {target_ratio}")
-    if p_start < 1 or p_cap < p_start:
-        raise InvalidParamsError(f"bad depth range [{p_start}, {p_cap}]")
+    check_search(target_ratio, p_start, p_cap, restarts)
     entropy = np.random.SeedSequence(seed).entropy
     ev = ScheduleEvaluator(g)
     trace: list[TraceEntry] = []

@@ -17,6 +17,7 @@ from .errors import InvalidParamsError, NotBijectionError, SizeLimitError
 from .graphs import Graph
 
 MAX_QUBITS = 26
+CONDITION_N_CAP = 16  # largest n check_symmetry_conditions tests (n * 2^n neighbor tables)
 # bytes one engine or cost diagonal may allocate; SizeLimitError above it
 MEMORY_BUDGET = 3 << 30
 
@@ -240,8 +241,8 @@ def check_symmetry_conditions(mapping, diag: CostDiagonal) -> SymmetryFlags:
     neighbors (as sets). Together they make the evolution orbit-invariant.
     """
     n = diag.n
-    if n > 16:
-        raise SizeLimitError(f"symmetry condition check needs n <= 16, got {n}")
+    if n > CONDITION_N_CAP:
+        raise SizeLimitError(f"symmetry condition check needs n <= {CONDITION_N_CAP}, got {n}")
     size = 1 << n
     a = np.asarray(mapping, dtype=np.int64)
     if a.shape != (size,) or not np.array_equal(np.sort(a), np.arange(size)):

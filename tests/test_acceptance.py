@@ -123,8 +123,8 @@ def test_criterion_02_quotient_dimensions():
     bad = []
     for n in range(2, 11):
         cases = [
-            ("trivial", BitstringGroup(n, PermGroup(n, ()), False), 2**n),
-            ("flip-only", BitstringGroup(n, PermGroup(n, ()), True), 2 ** (n - 1)),
+            ("trivial", BitstringGroup(PermGroup(n, ()), False), 2**n),
+            ("flip-only", BitstringGroup(PermGroup(n, ()), True), 2 ** (n - 1)),
             ("full-swap", symmetry_group(complete(n)), n + 1),
             (
                 "full-swap+flip",

@@ -8,6 +8,9 @@ import pytest
 
 import oracles
 from symqaoa.autgroup import (
+    BITSTRING_N_CAP,
+    DEGREE_CAP,
+    ENUMERATION_CAP,
     PermGroup,
     automorphism_generators,
     bitstring_action,
@@ -197,10 +200,34 @@ def test_fixed_bitstring_count():
 
 
 def test_size_limits():
-    with pytest.raises(SizeLimitError):
-        bitstring_orbits(PermGroup(21, ()))
-    with pytest.raises(SizeLimitError):
-        bitstring_action(tuple(range(21)))
+    # each check fires before a 2^n table is allocated
+    over = BITSTRING_N_CAP + 1
+    for build in (
+        lambda: bitstring_action(tuple(range(over))),
+        lambda: flip_action(over),
+        lambda: bitstring_orbits(PermGroup(over, ())),
+    ):
+        with pytest.raises(SizeLimitError, match=f"n <= {BITSTRING_N_CAP}, got {over}"):
+            build()
+
+
+def test_degree_cap():
+    over = DEGREE_CAP + 1
+    swap = (1, 0) + tuple(range(2, over))
+    with pytest.raises(SizeLimitError, match=f"degree <= {DEGREE_CAP}, got {over}"):
+        PermGroup(over, (swap,)).order()
+    with pytest.raises(SizeLimitError, match=f"n <= {DEGREE_CAP}, got {over}"):
+        automorphism_generators(Graph.from_edges(over, [(0, 1)]))
+
+
+def test_iter_elements_default_cap():
+    # S_10 (3,628,800) is under the default cap and S_11 (39,916,800) over it;
+    # the check runs before the first element is built
+    assert next(iter_elements(sym_group(10))) == identity_perm(10)
+    big = sym_group(11)
+    assert big.order() > ENUMERATION_CAP
+    with pytest.raises(SizeLimitError, match=f"exceeds enumeration cap {ENUMERATION_CAP}"):
+        next(iter_elements(big))
 
 
 def test_search_refuses_more_than_255_vertices():

@@ -24,7 +24,7 @@ from symqaoa.dataset import (
     standard_profile,
     train_models,
 )
-from symqaoa.errors import InsufficientDataError, InvalidParamsError, ParseError
+from symqaoa.errors import InsufficientDataError, InvalidParamsError, ParseError, SizeLimitError
 from symqaoa.features import feature_vector
 from symqaoa.graphs import (
     Graph,
@@ -188,6 +188,9 @@ def test_standard_profile_counts():
     for fam in full:
         if "n" in fam.params:
             assert fam.params["n"] <= 14
+    assert len(standard_profile(simulator.MAX_QUBITS)) > 130
+    with pytest.raises(SizeLimitError, match=f"max_n <= {simulator.MAX_QUBITS}"):
+        standard_profile(simulator.MAX_QUBITS + 1)
 
 
 def test_instance_seed_stable():
@@ -274,7 +277,29 @@ def test_generation_rejects_non_finite_target(tmp_path):
     for target in (math.nan, math.inf):
         with pytest.raises(InvalidParamsError, match="finite"):
             run_generation(dataclasses.replace(TINY, target_ratio=target), path)
-        assert path.read_bytes() == b""
+        assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"target_ratio": math.nan}, {"target_ratio": math.inf}, {"target_ratio": 0.0},
+     {"p_start": 0}, {"p_start": 4, "p_cap": 3}, {"restarts": 0}],
+    ids=["nan-target", "inf-target", "zero-target", "p-start-0", "p-cap-below-start",
+         "restarts-0"],
+)
+def test_config_rejects_bad_search_settings(tmp_path, capsys, monkeypatch, bad):
+    # the settings fail when the config is built, before any graph or feature
+    with pytest.raises(InvalidParamsError):
+        dataclasses.replace(TINY, **bad)
+    calls = []
+    monkeypatch.setattr(dataset, "feature_vector", lambda *a: calls.append(a))
+    flags = {"target_ratio": "--target-ratio", "p_start": "--p-start", "p_cap": "--p-cap",
+             "restarts": "--restarts"}
+    argv = [f"{flags[k]}={v}" for k, v in bad.items()]
+    out = tmp_path / "d.jsonl"
+    assert main(argv + ["gen-dataset", "--out", str(out), "--max-n", "6"]) == 2
+    assert calls == [] and not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_generation_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
@@ -504,6 +529,20 @@ def test_cli_verify_size_limit(tmp_path, capsys):
     assert main(["verify", str(path)]) == 3
 
 
+def test_cli_verify_condition_cap(tmp_path, capsys):
+    # the commutation checks run up to simulator.CONDITION_N_CAP and are
+    # skipped above it, while the orbit-spread check still runs
+    cap = simulator.CONDITION_N_CAP
+    for n, want_checked in ((cap, True), (cap + 1, False)):
+        path = tmp_path / f"c{n}.edges"
+        main(["gen-graphs", "--family", "cycle", "--n", str(n), "--out", str(path)])
+        capsys.readouterr()
+        assert main(["verify", str(path), "--depth", "1", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["conditions_checked"] > 0) == want_checked
+        assert data["ok"] is True
+
+
 def test_cli_pmin(tmp_path, capsys):
     path = tmp_path / "k2.edges"
     main(["gen-graphs", "--family", "complete", "--n", "2", "--out", str(path)])
@@ -550,6 +589,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["simulate", str(k2), "--depth", "1", "--schedule", "1,2,3"]) == 2
     assert main(["gen-graphs", "--family", "grid2d", "--rows", "2"]) == 2
     assert main(["gen-graphs", "--family", "random-regular", "--n", "8", "--k", "3"]) == 2
+    for depth in ("0", "-1", "-2"):
+        capsys.readouterr()
+        assert main(["verify", str(k2), "--depth", depth]) == 2
+        assert "depth" in capsys.readouterr().err
 
 
 def test_cli_train_predict_report(tmp_path, capsys):
@@ -603,3 +646,10 @@ def test_cli_gen_dataset_tiny(tmp_path, capsys):
     assert main(args) == 0
     assert "wrote 0 new records" in capsys.readouterr().out
     assert complete(3).edges == records[0].graph().edges
+
+
+def test_cli_gen_dataset_refuses_max_n_above_statevector_cap(tmp_path, capsys):
+    out = tmp_path / "big.jsonl"
+    assert main(["gen-dataset", "--out", str(out), "--max-n", "27"]) == 3
+    assert not out.exists()
+    assert f"max_n <= {simulator.MAX_QUBITS}" in capsys.readouterr().err

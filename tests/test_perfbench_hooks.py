@@ -8,14 +8,46 @@ from types import SimpleNamespace
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_patch_points_name_existing_attributes(monkeypatch):
+def load_tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     workloads = importlib.import_module("workloads")
     pkg = SimpleNamespace(
         **{m: importlib.import_module(f"symqaoa.{m}") for m in workloads.MODULES}
     )
+    return tracing, pkg
+
+
+def test_patch_points_name_existing_attributes(monkeypatch):
+    tracing, pkg = load_tracing(monkeypatch)
     points = tracing.patch_points(pkg)
     assert points
     for owner, attr, span, _ in points:
         assert attr in owner.__dict__, (span, owner, attr)
+
+
+def test_tracer_install_round_trip(monkeypatch):
+    # install wraps every patch point and swaps schedules.optimize for a proxy;
+    # uninstall must put back the original object of each, and touch nothing else
+    tracing, pkg = load_tracing(monkeypatch)
+    points = tracing.patch_points(pkg)
+    owners = {id(o): o for o in list(vars(pkg).values()) + [o for o, *_ in points]}
+    before = {key: dict(vars(o)) for key, o in owners.items()}
+    tracer = tracing.Tracer()
+    tracer.install(pkg)
+    try:
+        patched = {
+            (key, attr)
+            for key, attrs in before.items()
+            for attr, value in attrs.items()
+            if vars(owners[key])[attr] is not value
+        }
+    finally:
+        tracer.uninstall()
+    wanted = {(id(o), attr) for o, attr, *_ in points} | {(id(pkg.schedules), "optimize")}
+    assert patched == wanted
+    assert len(wanted) == len(points) + 1
+    for key, attrs in before.items():
+        now = vars(owners[key])
+        assert now.keys() == attrs.keys()
+        assert all(now[attr] is value for attr, value in attrs.items())

@@ -32,8 +32,8 @@ def random_angles(rng, p):
 
 def test_quotient_dims_known():
     trivial = PermGroup(4, ())
-    assert quotient_dimension(BitstringGroup(4, trivial)).dim == 16
-    assert quotient_dimension(BitstringGroup(4, trivial, include_flip=True)).dim == 8
+    assert quotient_dimension(BitstringGroup(trivial)).dim == 16
+    assert quotient_dimension(BitstringGroup(trivial, include_flip=True)).dim == 8
     assert quotient_dimension(symmetry_group(complete(4))).dim == 5
     assert quotient_dimension(symmetry_group(complete(4), include_flip=True)).dim == 3
     assert quotient_dimension(symmetry_group(complete(5), include_flip=True)).dim == 3
@@ -62,11 +62,6 @@ def test_quotient_matches_brute_burnside(seed, flip):
 def test_quotient_size_limit():
     with pytest.raises(SizeLimitError):
         quotient_dimension(symmetry_group(complete(22)))
-
-
-def test_bitstring_group_validation():
-    with pytest.raises(InvalidParamsError):
-        BitstringGroup(5, PermGroup(4, ()))
 
 
 def test_hamming_ops_equal_generic_reduction():
