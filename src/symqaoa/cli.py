@@ -58,6 +58,7 @@ from symqaoa.schedules import (
     GAMMA_MAX,
     LinearSchedule,
     ScheduleEvaluator,
+    SearchSettings,
     find_pmin,
     trace_csv,
 )
@@ -83,10 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     ap.add_argument("--seed", type=int, default=0, help="base seed for every verb")
     ap.add_argument("--threads", type=int, default=1, help="worker processes for gen-dataset")
-    ap.add_argument("--target-ratio", type=float, default=0.95)
-    ap.add_argument("--p-start", type=int, default=2)
-    ap.add_argument("--p-cap", type=int, default=25)
-    ap.add_argument("--restarts", type=int, default=50)
+    for f in dataclasses.fields(SearchSettings):
+        ap.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     sub = ap.add_subparsers(dest="verb", required=True)
 
     gg = sub.add_parser("gen-graphs", help="write an edge-list file for a graph family")
@@ -199,16 +198,16 @@ def cmd_features(args) -> int:
     return 0
 
 
+def _search(args) -> SearchSettings:
+    """The search settings given by the global flags."""
+    return SearchSettings(
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchSettings)}
+    )
+
+
 def cmd_pmin(args) -> int:
     g = read_edge_list(args.graph)
-    result = find_pmin(
-        g,
-        target_ratio=args.target_ratio,
-        p_start=args.p_start,
-        p_cap=args.p_cap,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    result = find_pmin(g, _search(args), seed=args.seed)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace_csv(result))
@@ -337,12 +336,7 @@ def cmd_verify(args) -> int:
 
 def cmd_gen_dataset(args) -> int:
     config = DatasetConfig(
-        standard_profile(args.max_n),
-        target_ratio=args.target_ratio,
-        p_start=args.p_start,
-        p_cap=args.p_cap,
-        restarts=args.restarts,
-        seed=args.seed,
+        standard_profile(args.max_n), seed=args.seed, **dataclasses.asdict(_search(args))
     )
 
     def progress(done: int, total: int, iid: str):

@@ -36,7 +36,7 @@ from symqaoa.mlmodel import (
     train_ordinal,
     train_regressor,
 )
-from symqaoa.schedules import LinearSchedule, check_search, find_pmin
+from symqaoa.schedules import LinearSchedule, SearchSettings, find_pmin
 from symqaoa.simulator import MAX_QUBITS
 
 SCHEMA_VERSION = 1
@@ -70,8 +70,9 @@ _JSON_TYPES = {"int": (int,), "int | None": (int, type(None)), "float": (int, fl
 
 
 @dataclass(frozen=True)
-class InstanceRecord:
-    """One dataset row: a graph, its feature vector, and the depth-search outcome."""
+class InstanceRecord(SearchSettings):
+    """One dataset row: a graph, its feature vector, and the depth-search outcome
+    with the settings it ran under."""
 
     id: str
     family: str
@@ -85,10 +86,6 @@ class InstanceRecord:
     censored: bool
     ratio_achieved: float
     best_schedule: dict
-    target_ratio: float
-    p_start: int
-    p_cap: int
-    restarts: int
     pmin_seed: int
     feature_seed: int | None
     software_version: str
@@ -96,6 +93,7 @@ class InstanceRecord:
     seconds: float | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.features) != len(FEATURE_NAMES):
             raise InvalidParamsError(
                 f"record {self.id!r} has {len(self.features)} features, "
@@ -158,7 +156,10 @@ def parse_record(line: str) -> InstanceRecord:
 def load_dataset(path) -> list[InstanceRecord]:
     """Read a JSONL dataset file, skipping blank lines."""
     with open(path, encoding="utf-8") as fh:
-        return _parse_lines(fh, path)
+        try:
+            return _parse_lines(fh, path)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _parse_lines(lines, path) -> list[InstanceRecord]:
@@ -184,18 +185,14 @@ def family_label(fam: GraphFamily) -> str:
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
-    """Instance list plus the knobs shared by every depth search in a run."""
+class DatasetConfig(SearchSettings):
+    """Instance list plus the search settings shared by every depth search in a run."""
 
     families: tuple[GraphFamily, ...]
-    target_ratio: float = 0.95
-    p_start: int = 2
-    p_cap: int = 25
-    restarts: int = 50
     seed: int = 0
 
     def __post_init__(self):
-        check_search(self.target_ratio, self.p_start, self.p_cap, self.restarts)
+        super().__post_init__()
         labels = [family_label(f) for f in self.families]
         if len(set(labels)) != len(labels):
             dupes = sorted({x for x in labels if labels.count(x) > 1})
@@ -259,14 +256,8 @@ def generate_instance(
     feature_seed = instance_seed(config.seed, iid, "features")
     fv = feature_vector(g, MAX_PAIRS, feature_seed)
     pmin_seed = instance_seed(config.seed, iid, "pmin")
-    result = find_pmin(
-        g,
-        target_ratio=config.target_ratio,
-        p_start=config.p_start,
-        p_cap=config.p_cap,
-        restarts=config.restarts,
-        seed=pmin_seed,
-    )
+    search = config.search
+    result = find_pmin(g, search, seed=pmin_seed)
     return InstanceRecord(
         id=iid,
         family=fam.name,
@@ -280,10 +271,7 @@ def generate_instance(
         censored=result.censored,
         ratio_achieved=result.ratio_achieved,
         best_schedule=dataclasses.asdict(result.best_schedule),
-        target_ratio=config.target_ratio,
-        p_start=config.p_start,
-        p_cap=config.p_cap,
-        restarts=config.restarts,
+        **dataclasses.asdict(search),
         pmin_seed=pmin_seed,
         feature_seed=feature_seed if math.comb(g.m, 2) > MAX_PAIRS else None,
         software_version=__version__,
@@ -310,17 +298,21 @@ def _resume_ids(path, config: DatasetConfig) -> set[str]:
         data = fh.read()
         body = data[: data.rfind(b"\n") + 1]
         tail = data[len(body) :]
-        records = _parse_lines(body.decode("utf-8").split("\n"), path)
+        try:
+            text = body.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+        records = _parse_lines(text.split("\n"), path)
         torn = False
         if tail:
             try:
                 records.append(parse_record(tail.decode("utf-8")))
             except (ParseError, UnicodeDecodeError):
                 torn = True
+        settings = dataclasses.astuple(config.search)
         for rec in records:
-            stored = (rec.target_ratio, rec.p_start, rec.p_cap, rec.restarts, rec.pmin_seed)
-            wanted = (config.target_ratio, config.p_start, config.p_cap, config.restarts,
-                      instance_seed(config.seed, rec.id, "pmin"))
+            stored = (*dataclasses.astuple(rec.search), rec.pmin_seed)
+            wanted = (*settings, instance_seed(config.seed, rec.id, "pmin"))
             if stored != wanted:
                 raise InvalidParamsError(
                     f"{path}: record {rec.id!r} has (target_ratio, p_start, p_cap, restarts, "

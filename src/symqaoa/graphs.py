@@ -240,10 +240,6 @@ _BUILDERS = {
     "random-regular": lambda p, fam: random_regular(p["n"], p["k"], _need_seed(fam)),
     "trivial-aut": lambda p, fam: trivial_aut_graph(p["n"], p.get("k", 3), _need_seed(fam)),
     "hand-picked": lambda p, fam: named(p["graph"]),
-    "custom": lambda p, fam: (
-        read_edge_list(p["path"]) if "path" in p
-        else Graph.from_edges(p["n"], [tuple(e) for e in p["edges"]])
-    ),
 }
 FAMILY_NAMES = tuple(_BUILDERS)
 

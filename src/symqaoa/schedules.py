@@ -9,7 +9,7 @@ seeded random starts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -127,7 +127,7 @@ def _initial_simplex(x0: np.ndarray) -> np.ndarray:
 def optimize_linear(
     g: Graph,
     p: int,
-    restarts: int = 50,
+    restarts: int,
     seed=None,
     evaluator: ScheduleEvaluator | None = None,
 ) -> tuple[LinearSchedule, float]:
@@ -193,41 +193,50 @@ class PminResult:
     trace: tuple[TraceEntry, ...]
 
 
-def check_search(target_ratio: float, p_start: int, p_cap: int, restarts: int) -> None:
-    """Raise InvalidParamsError unless the target ratio is positive and finite,
-    1 <= p_start <= p_cap, and restarts >= 1."""
-    if not (0 < target_ratio < math.inf):
-        raise InvalidParamsError(f"target ratio must be positive and finite, got {target_ratio}")
-    if p_start < 1 or p_cap < p_start:
-        raise InvalidParamsError(f"bad depth range [{p_start}, {p_cap}]")
-    if restarts < 1:
-        raise InvalidParamsError(f"need restarts >= 1, got {restarts}")
+@dataclass(frozen=True, kw_only=True)
+class SearchSettings:
+    """The settings of the depth search, which define every p_min it reports:
+    the target ratio, the depth range p_start..p_cap and the Nelder-Mead
+    restarts per depth. Building one checks that the target is positive and
+    finite, 1 <= p_start <= p_cap and restarts >= 1 (InvalidParamsError)."""
+
+    target_ratio: float = 0.95
+    p_start: int = 2
+    p_cap: int = 25
+    restarts: int = 50
+
+    def __post_init__(self):
+        if not (0 < self.target_ratio < math.inf):
+            raise InvalidParamsError(
+                f"target ratio must be positive and finite, got {self.target_ratio}"
+            )
+        if self.p_start < 1 or self.p_cap < self.p_start:
+            raise InvalidParamsError(f"bad depth range [{self.p_start}, {self.p_cap}]")
+        if self.restarts < 1:
+            raise InvalidParamsError(f"need restarts >= 1, got {self.restarts}")
+
+    @property
+    def search(self) -> "SearchSettings":
+        """These settings alone, without the fields of a subclass."""
+        return SearchSettings(**{f.name: getattr(self, f.name) for f in fields(SearchSettings)})
 
 
-def find_pmin(
-    g: Graph,
-    target_ratio: float = 0.95,
-    p_start: int = 2,
-    p_cap: int = 25,
-    restarts: int = 50,
-    seed=None,
-) -> PminResult:
-    """Scan depths p_start..p_cap until the optimized ratio meets the target.
+def find_pmin(g: Graph, search: SearchSettings = SearchSettings(), seed=None) -> PminResult:
+    """Scan depths search.p_start..search.p_cap until the optimized ratio meets
+    search.target_ratio.
 
     Each depth draws an independent seed stream keyed by p, so results for one
-    depth do not depend on where the scan started. The settings must pass
-    check_search; a finite target above 1 is allowed and simply censors (no
-    ratio can exceed 1).
+    depth do not depend on where the scan started. A finite target above 1 is
+    allowed and simply censors (no ratio can exceed 1).
     """
-    check_search(target_ratio, p_start, p_cap, restarts)
     entropy = np.random.SeedSequence(seed).entropy
     ev = ScheduleEvaluator(g)
     trace: list[TraceEntry] = []
-    for p in range(p_start, p_cap + 1):
+    for p in range(search.p_start, search.p_cap + 1):
         child = np.random.SeedSequence(entropy=entropy, spawn_key=(p,))
-        schedule, ratio = optimize_linear(g, p, restarts=restarts, seed=child, evaluator=ev)
+        schedule, ratio = optimize_linear(g, p, restarts=search.restarts, seed=child, evaluator=ev)
         trace.append(TraceEntry(p, ratio, schedule))
-        if ratio >= target_ratio:
+        if ratio >= search.target_ratio:
             return PminResult(p, False, ratio, schedule, ev.optimum, tuple(trace))
     best = max(trace, key=lambda t: t.ratio)
     return PminResult(None, True, best.ratio, best.schedule, ev.optimum, tuple(trace))

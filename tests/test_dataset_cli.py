@@ -36,7 +36,7 @@ from symqaoa.graphs import (
     write_edge_list,
 )
 from symqaoa.mlmodel import load_model
-from symqaoa.schedules import LinearSchedule
+from symqaoa.schedules import LinearSchedule, SearchSettings
 from symqaoa.simulator import Engine, maxcut_diagonal, probabilities_csv
 
 TINY = DatasetConfig(
@@ -140,7 +140,8 @@ def test_record_validation():
      ("p_min", "x"), ("n", "abc"), ("family", None),
      ("edges", [[0, 1.7]]), ("edges", [[True, 2]]), ("edges", [["1", "2"]]), ("edges", [[0]]),
      ("edges", [5]), ("features", ["1.5"] * 10), ("features", [True] * 10),
-     ("features", [None] * 10)],
+     ("features", [None] * 10), ("p_start", 0), ("restarts", 0), ("p_cap", -3),
+     ("target_ratio", -1.0)],
 )
 def test_record_rejects_malformed_fields(tmp_path, capsys, field, value):
     data = json.loads(record_line(make_record(0, "x", 4)))
@@ -152,6 +153,28 @@ def test_record_rejects_malformed_fields(tmp_path, capsys, field, value):
     path.write_text(line + "\n")
     assert main(["report", "--dataset", str(path)]) == 2
     assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", [["report", "--dataset"], ["gen-dataset", "--max-n", "6", "--out"],
+                                  ["train", "--model-out", "model.txt", "--dataset"]],
+                         ids=["report", "gen-dataset", "train"])
+def test_cli_rejects_non_utf8_dataset(tmp_path, capsys, monkeypatch, verb):
+    # a byte that is not UTF-8 in a complete line exits 2 naming the file, and
+    # changes no file: a resumed gen-dataset builds no graph, train writes no model
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "bad.jsonl"
+    lines = "".join(record_line(make_record(i, "x", 4)) + "\n" for i in range(2))
+    data = lines.encode() + b'{"id": "\xff"}\n'
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match="bad.jsonl"):
+        load_dataset(path)
+    calls = []
+    monkeypatch.setattr(dataset, "feature_vector", lambda *a: calls.append(a))
+    assert main([*verb, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.jsonl" in err and "UTF-8" in err
+    assert calls == [] and [f.name for f in tmp_path.iterdir()] == ["bad.jsonl"]
+    assert path.read_bytes() == data
 
 
 def test_load_dataset_reports_line(tmp_path):
@@ -169,6 +192,12 @@ def test_family_label_formats():
     )
     assert family_label(GraphFamily("hand-picked", {"graph": "petersen"})) == "hand-picked-petersen"
     assert family_label(GraphFamily("grid2d", {"rows": 2, "cols": 4})) == "grid2d-cols4-rows2"
+
+
+def test_search_defaults_stated_once():
+    args = cli.build_parser().parse_args(["report", "--dataset", "d.jsonl"])
+    assert cli._search(args) == SearchSettings()
+    assert DatasetConfig(TINY.families).search == SearchSettings()
 
 
 def test_config_rejects_duplicate_ids():
@@ -227,10 +256,11 @@ def test_generation_resumes_after_torn_tail(tmp_path):
     whole = path.read_bytes()
     last = whole[whole.rstrip(b"\n").rfind(b"\n") + 1 :]
     # a kill mid-write leaves part of the last record and no newline: that
-    # line is cut off and its instance generated again
-    path.write_bytes(whole[: -len(last) // 2])
-    assert run_generation(TINY, path) == 1
-    assert path.read_bytes() == whole
+    # line is cut off and its instance generated again, UTF-8 or not
+    for torn in (last[: len(last) // 2], b'{"id": "\xff'):
+        path.write_bytes(whole[: -len(last)] + torn)
+        assert run_generation(TINY, path) == 1
+        assert path.read_bytes() == whole
     # a whole record that lost only its newline is kept and terminated
     path.write_bytes(whole[:-1])
     assert run_generation(TINY, path) == 0
@@ -589,6 +619,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["simulate", str(k2), "--depth", "1", "--schedule", "1,2,3"]) == 2
     assert main(["gen-graphs", "--family", "grid2d", "--rows", "2"]) == 2
     assert main(["gen-graphs", "--family", "random-regular", "--n", "8", "--k", "3"]) == 2
+    with pytest.raises(SystemExit, match="2"):
+        main(["gen-graphs", "--family", "custom", "--n", "4"])
     for depth in ("0", "-1", "-2"):
         capsys.readouterr()
         assert main(["verify", str(k2), "--depth", depth]) == 2

@@ -124,9 +124,7 @@ def test_named_graphs():
         named("nope")
 
 
-def test_generate_dispatch(tmp_path):
-    path = tmp_path / "custom.edges"
-    write_edge_list(wheel(6), path)
+def test_generate_dispatch():
     cases = [
         (GraphFamily("complete", {"n": 5}), complete(5)),
         (GraphFamily("cycle", {"n": 6}), cycle(6)),
@@ -140,9 +138,6 @@ def test_generate_dispatch(tmp_path):
         (GraphFamily("random-regular", {"n": 8, "k": 3}, seed=4), random_regular(8, 3, seed=4)),
         (GraphFamily("trivial-aut", {"n": 12}, seed=700), trivial_aut_graph(12, 3, seed=700)),
         (GraphFamily("hand-picked", {"graph": "petersen"}), named("petersen")),
-        (GraphFamily("custom", {"n": 3, "edges": [[0, 1], [1, 2]]}),
-         Graph.from_edges(3, [(0, 1), (1, 2)])),
-        (GraphFamily("custom", {"path": str(path)}), wheel(6)),
     ]
     for fam, want in cases:
         assert generate(fam) == want, fam
@@ -151,7 +146,6 @@ def test_generate_dispatch(tmp_path):
     errors = [
         (GraphFamily("ladder", {"n": 4}), "family 'ladder' missing parameter 'k'"),
         (GraphFamily("grid2d", {"rows": 2}), "family 'grid2d' missing parameter 'cols'"),
-        (GraphFamily("custom", {"n": 3}), "family 'custom' missing parameter 'edges'"),
         (GraphFamily("trivial-aut", {"n": 12}), "family 'trivial-aut' requires a seed"),
         (GraphFamily("bogus", {}), f"unknown family 'bogus'; choices: {FAMILY_NAMES}"),
     ]

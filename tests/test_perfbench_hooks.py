@@ -51,3 +51,16 @@ def test_tracer_install_round_trip(monkeypatch):
         now = vars(owners[key])
         assert now.keys() == attrs.keys()
         assert all(now[attr] is value for attr, value in attrs.items())
+
+
+def test_workloads_build_and_label(monkeypatch, tmp_path):
+    # the benchmark's calls into the package (DatasetConfig, run_generation,
+    # load_dataset, ...) run only when it builds and runs its operations
+    _, pkg = load_tracing(monkeypatch)
+    workloads = importlib.import_module("workloads")
+    ctx = workloads.Context(PERFBENCH.parent, workloads.CACHE_SEED, tmp_path)
+    ops = {name: build(pkg, ctx) for name, build in workloads.WORKLOADS.items()}
+    assert all(ops.values()), ops
+    op = next(op for op in ops["label-sym"] if op.name == "complete-n3")
+    op.prepare()
+    assert op.check(op.run()) == []

@@ -13,6 +13,7 @@ from symqaoa.reduced import ReducedEngine
 from symqaoa.schedules import (
     LinearSchedule,
     ScheduleEvaluator,
+    SearchSettings,
     approx_ratio,
     find_pmin,
     make_engine,
@@ -108,7 +109,9 @@ def test_evaluator_size_limit():
 
 
 def test_find_pmin_single_edge():
-    result = find_pmin(EDGE, target_ratio=0.9, p_start=1, p_cap=3, restarts=3, seed=0)
+    result = find_pmin(
+        EDGE, SearchSettings(target_ratio=0.9, p_start=1, p_cap=3, restarts=3), seed=0
+    )
     assert result.p_min == 1
     assert result.censored is False
     assert result.ratio_achieved >= 0.9
@@ -119,7 +122,9 @@ def test_find_pmin_single_edge():
 
 def test_find_pmin_censors_on_unreachable_target():
     # no ratio can exceed 1, so a target above 1 must scan to the cap
-    result = find_pmin(cycle(4), target_ratio=1.5, p_start=2, p_cap=4, restarts=2, seed=5)
+    result = find_pmin(
+        cycle(4), SearchSettings(target_ratio=1.5, p_start=2, p_cap=4, restarts=2), seed=5
+    )
     assert result.censored is True
     assert result.p_min is None
     assert result.ratio_achieved < 1.0
@@ -129,8 +134,12 @@ def test_find_pmin_censors_on_unreachable_target():
 
 def test_find_pmin_depths_seeded_independently():
     # each depth draws its own stream, so the scan start must not change results
-    a = find_pmin(cycle(4), target_ratio=1.5, p_start=2, p_cap=4, restarts=2, seed=5)
-    b = find_pmin(cycle(4), target_ratio=1.5, p_start=3, p_cap=4, restarts=2, seed=5)
+    a = find_pmin(
+        cycle(4), SearchSettings(target_ratio=1.5, p_start=2, p_cap=4, restarts=2), seed=5
+    )
+    b = find_pmin(
+        cycle(4), SearchSettings(target_ratio=1.5, p_start=3, p_cap=4, restarts=2), seed=5
+    )
     by_p = {t.p: t for t in a.trace}
     for entry in b.trace:
         assert entry.schedule == by_p[entry.p].schedule
@@ -139,13 +148,15 @@ def test_find_pmin_depths_seeded_independently():
 
 def test_find_pmin_validation():
     with pytest.raises(InvalidParamsError):
-        find_pmin(EDGE, target_ratio=0.0)
+        find_pmin(EDGE, SearchSettings(target_ratio=0.0))
     with pytest.raises(InvalidParamsError):
-        find_pmin(EDGE, p_start=3, p_cap=2)
+        find_pmin(EDGE, SearchSettings(p_start=3, p_cap=2))
 
 
 def test_trace_csv_round_trip():
-    result = find_pmin(EDGE, target_ratio=2.0, p_start=1, p_cap=2, restarts=2, seed=1)
+    result = find_pmin(
+        EDGE, SearchSettings(target_ratio=2.0, p_start=1, p_cap=2, restarts=2), seed=1
+    )
     lines = trace_csv(result).splitlines()
     assert lines[0] == "p,best_ratio,beta_start,beta_end,gamma_start,gamma_end"
     assert len(lines) == 3
