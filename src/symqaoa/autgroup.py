@@ -293,18 +293,19 @@ def automorphism_generators(g: Graph) -> PermGroup:
                         common += 1
                     return common
             return None
-        explored: list[int] = []
+        pruned: set[int] = set()  # orbit of the explored children
         for v in target:
-            if explored:
-                fixing = [s for s in gens if all(s[x] == x for x in prefix)]
-                if v in _orbit(fixing, explored):
-                    continue
+            if v in pruned:
+                continue
             branched = list(colors)
             branched[v] = len(cells)  # a new id after the others keeps them contiguous
             jump = search(_refine(adj, branched), depth + 1, prefix + [v])
-            explored.append(v)
             if jump is not None and jump < depth:
                 return jump
+            # generators appear only inside child searches, so the orbit changes
+            # only here; the new one contains the old, so it grows from it
+            fixing = [s for s in gens if all(s[x] == x for x in prefix)]
+            pruned = _orbit(fixing, pruned | {v})
         return None
 
     search(_refine(adj, (0,) * n), 0, [])
@@ -359,6 +360,26 @@ def flip_action(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class BitstringGroup:
+    """Bit-permutation group induced by vertex permutations, optionally extended
+    by the global flip (which commutes with every bit permutation)."""
+
+    perm_group: PermGroup
+    include_flip: bool = False
+
+    def order(self) -> int:
+        return self.perm_group.order() * (2 if self.include_flip else 1)
+
+    def actions(self) -> list[np.ndarray]:
+        """Index map of each distinct non-identity generator, then the flip's."""
+        n = self.perm_group.n
+        gens = dict.fromkeys(self.perm_group.generators)
+        gens.pop(identity_perm(n), None)
+        flip = [flip_action(n)] if self.include_flip else []
+        return [bitstring_action(s) for s in gens] + flip
+
+
+@dataclass(frozen=True)
 class BitstringOrbits:
     """Partition of {0,1}^n: labels[x] = orbit id, ids ordered by smallest member."""
 
@@ -375,19 +396,14 @@ class BitstringOrbits:
         return np.flatnonzero(self.labels == k)
 
 
-def bitstring_orbits(grp: PermGroup, include_global_flip: bool = False) -> BitstringOrbits:
-    """Orbits of all 2^n bitstrings under bit-position permutations and optionally
-    the global flip. Labels converge by min-propagation along each action map,
-    which reaches the whole component because permutation actions close into
-    cycles.
-    """
-    n = grp.n
+def bitstring_orbits(grp: BitstringGroup) -> BitstringOrbits:
+    """Orbits of all 2^n bitstrings under the group. Labels converge by
+    min-propagation along each action map, which reaches the whole component
+    because permutation actions close into cycles."""
+    n = grp.perm_group.n
     if n > BITSTRING_N_CAP:
         raise SizeLimitError(f"bitstring orbits need n <= {BITSTRING_N_CAP}, got {n}")
-    ident = identity_perm(n)
-    maps = [bitstring_action(s) for s in dict.fromkeys(grp.generators) if s != ident]
-    if include_global_flip:
-        maps.append(flip_action(n))
+    maps = grp.actions()
     labels = np.arange(1 << n, dtype=np.int64)
     if maps:
         while True:

@@ -18,10 +18,9 @@ import numpy as np
 from symqaoa import __version__
 from symqaoa.autgroup import (
     BITSTRING_N_CAP,
+    BitstringGroup,
     automorphism_generators,
-    bitstring_action,
     bitstring_orbits,
-    flip_action,
 )
 from symqaoa.dataset import (
     MAX_PAIRS,
@@ -52,7 +51,7 @@ from symqaoa.graphs import (
     write_edge_list,
 )
 from symqaoa.mlmodel import load_model, save_model
-from symqaoa.reduced import BitstringGroup, quotient_dimension
+from symqaoa.reduced import quotient_dimension
 from symqaoa.schedules import (
     BETA_MAX,
     GAMMA_MAX,
@@ -298,13 +297,11 @@ def cmd_verify(args) -> int:
     gammas = tuple(rng.uniform(0.0, GAMMA_MAX, args.depth))
     diag = maxcut_diagonal(g)
     state = Engine(diag).statevector(Angles(betas, gammas))
-    grp = automorphism_generators(g)
-    orbits = bitstring_orbits(grp, include_global_flip=True)
+    grp = BitstringGroup(automorphism_generators(g), include_flip=True)
+    orbits = bitstring_orbits(grp)
     spread = orbit_spread(state, orbits)
 
-    mappings = []
-    if g.n <= CONDITION_N_CAP:
-        mappings = [flip_action(g.n)] + [bitstring_action(perm) for perm in grp.generators]
+    mappings = grp.actions() if g.n <= CONDITION_N_CAP else []
     checked = len(mappings)
     flags = [check_symmetry_conditions(m, diag) for m in mappings]
     conditions_ok = all(f.cost_commutes and f.mixer_commutes for f in flags)
@@ -318,7 +315,7 @@ def cmd_verify(args) -> int:
         "probability_spread": spread.probability,
         "amplitude_spread": spread.amplitude,
         "orbits": orbits.n_orbits,
-        "group_order": grp.order() * 2,
+        "group_order": grp.order(),
         "conditions_checked": checked,
         "conditions_ok": conditions_ok,
         "ok": ok,

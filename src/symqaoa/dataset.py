@@ -22,7 +22,7 @@ from symqaoa.errors import (
     ParseError,
     SizeLimitError,
 )
-from symqaoa.features import FEATURE_NAMES, feature_vector
+from symqaoa.features import EXPECTED_SIGNS, FEATURE_NAMES, feature_vector
 from symqaoa.graphs import Graph, GraphFamily, generate
 from symqaoa.mlmodel import (
     DEFAULT_CUTOFFS,
@@ -43,23 +43,6 @@ SCHEMA_VERSION = 1
 
 # A graph with more two-edge deletion pairs than this samples this many of them.
 MAX_PAIRS = 2000
-
-# Direction each feature is expected to correlate with the minimum depth:
-# highly symmetric instances need shallower circuits, so the symmetry
-# magnitudes (log group orders, entropy) run negative while the orbit counts
-# and the vertex count run positive.
-EXPECTED_SIGNS = {
-    "log_aut": -1,
-    "avg_log_aut_1": -1,
-    "avg_log_aut_2": -1,
-    "n_vertices": 1,
-    "n_orbits": 1,
-    "avg_orbits_1": 1,
-    "avg_orbits_2": 1,
-    "entropy": -1,
-    "avg_entropy_1": -1,
-    "avg_entropy_2": -1,
-}
 
 
 # The types of the JSON values InstanceRecord.from_dict accepts for each field

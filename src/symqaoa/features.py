@@ -18,26 +18,38 @@ from .errors import InvalidParamsError
 from .graphs import Graph
 
 
+def _sign(expected: int):
+    """A field whose feature should correlate with the minimum depth with the
+    sign of expected."""
+    return dataclasses.field(metadata={"sign": expected})
+
+
 @dataclasses.dataclass(frozen=True)
 class SymmetryFeatures:
-    """The ten features; their field order is FEATURE_NAMES and the array order."""
+    """The ten features; their field order is FEATURE_NAMES and the array order.
 
-    log_aut: float
-    avg_log_aut_1: float
-    avg_log_aut_2: float
-    n_vertices: int
-    n_orbits: int
-    avg_orbits_1: float
-    avg_orbits_2: float
-    entropy: float
-    avg_entropy_1: float
-    avg_entropy_2: float
+    Highly symmetric instances need shallower circuits, so the symmetry
+    magnitudes (log group orders, entropy) correlate negatively with the
+    minimum depth while the orbit counts and the vertex count run positive.
+    """
+
+    log_aut: float = _sign(-1)
+    avg_log_aut_1: float = _sign(-1)
+    avg_log_aut_2: float = _sign(-1)
+    n_vertices: int = _sign(1)
+    n_orbits: int = _sign(1)
+    avg_orbits_1: float = _sign(1)
+    avg_orbits_2: float = _sign(1)
+    entropy: float = _sign(-1)
+    avg_entropy_1: float = _sign(-1)
+    avg_entropy_2: float = _sign(-1)
 
     def as_array(self) -> np.ndarray:
         return np.array(dataclasses.astuple(self), dtype=np.float64)
 
 
 FEATURE_NAMES = tuple(f.name for f in dataclasses.fields(SymmetryFeatures))
+EXPECTED_SIGNS = {f.name: f.metadata["sign"] for f in dataclasses.fields(SymmetryFeatures)}
 
 
 def graph_entropy(orbits: list[list[int]], n: int) -> float:

@@ -19,8 +19,8 @@ import numpy as np
 from .autgroup import (
     BITSTRING_N_CAP,
     ENUMERATION_CAP,
+    BitstringGroup,
     BitstringOrbits,
-    PermGroup,
     automorphism_generators,
     bitstring_orbits,
     cycle_counts,
@@ -28,22 +28,9 @@ from .autgroup import (
 )
 from .errors import InvalidParamsError, NotInvariantError, SizeLimitError
 from .graphs import Graph
-from .simulator import CostDiagonal, StateVector
+from .simulator import CostDiagonal, StateVector, check_layers
 
 GENERIC_N_CAP = 16
-
-
-@dataclass(frozen=True)
-class BitstringGroup:
-    """Bit-permutation group induced by vertex permutations, optionally extended
-    by the global flip (which commutes with every bit permutation)."""
-
-    perm_group: PermGroup
-    include_flip: bool = False
-
-    def order(self) -> int:
-        base = self.perm_group.order()
-        return 2 * base if self.include_flip else base
 
 
 def symmetry_group(g: Graph, include_flip: bool = False) -> BitstringGroup:
@@ -116,7 +103,7 @@ def quotient_dimension(grp: BitstringGroup) -> QuotientCount:
     orbit_count = None
     reciprocal_sum = None
     if can_orbit:
-        orbits = bitstring_orbits(grp.perm_group, include_global_flip=grp.include_flip)
+        orbits = bitstring_orbits(grp)
         orbit_count = orbits.n_orbits
         # sum over every x of 1/|orbit(x)|: each x contributes the reciprocal of
         # its own orbit size, so group the 2^n terms by orbit
@@ -143,7 +130,7 @@ def build_orbit_basis(g: Graph, include_flip: bool = False) -> BitstringOrbits:
     dimension."""
     if g.n > GENERIC_N_CAP:
         raise SizeLimitError(f"generic orbit basis needs n <= {GENERIC_N_CAP}, got {g.n}")
-    return bitstring_orbits(automorphism_generators(g), include_global_flip=include_flip)
+    return bitstring_orbits(BitstringGroup(automorphism_generators(g), include_flip))
 
 
 @dataclass(eq=False)
@@ -215,6 +202,7 @@ class ReducedEngine:
         self._w, self._v = np.linalg.eigh(ops.mixer)
 
     def run(self, betas, gammas) -> np.ndarray:
+        check_layers(betas, gammas)
         amps = self.ops.init.astype(np.complex128)
         for beta, gamma in zip(betas, gammas):
             amps *= np.exp(-1j * gamma * self.values)

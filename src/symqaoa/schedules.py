@@ -125,13 +125,10 @@ def _initial_simplex(x0: np.ndarray) -> np.ndarray:
 
 
 def optimize_linear(
-    g: Graph,
-    p: int,
-    restarts: int,
-    seed=None,
-    evaluator: ScheduleEvaluator | None = None,
+    ev: ScheduleEvaluator, p: int, restarts: int, seed=None
 ) -> tuple[LinearSchedule, float]:
-    """Best linear schedule over seeded Nelder-Mead restarts.
+    """Best depth-p linear schedule for the evaluator's graph over seeded
+    Nelder-Mead restarts.
 
     Deterministic for a fixed seed; the winner is the strictly best final
     ratio, ties going to the earliest restart, and the returned ratio is
@@ -141,7 +138,6 @@ def optimize_linear(
         raise InvalidParamsError(f"need restarts >= 1, got {restarts}")
     if p < 1:
         raise InvalidParamsError(f"depth must be >= 1, got {p}")
-    ev = evaluator if evaluator is not None else ScheduleEvaluator(g)
     rng = np.random.default_rng(seed)
     starts = rng.random((restarts, 4)) * _BOX_HI
     bounds = [(0.0, BETA_MAX), (0.0, BETA_MAX), (0.0, GAMMA_MAX), (0.0, GAMMA_MAX)]
@@ -234,7 +230,7 @@ def find_pmin(g: Graph, search: SearchSettings = SearchSettings(), seed=None) ->
     trace: list[TraceEntry] = []
     for p in range(search.p_start, search.p_cap + 1):
         child = np.random.SeedSequence(entropy=entropy, spawn_key=(p,))
-        schedule, ratio = optimize_linear(g, p, restarts=search.restarts, seed=child, evaluator=ev)
+        schedule, ratio = optimize_linear(ev, p, search.restarts, child)
         trace.append(TraceEntry(p, ratio, schedule))
         if ratio >= search.target_ratio:
             return PminResult(p, False, ratio, schedule, ev.optimum, tuple(trace))

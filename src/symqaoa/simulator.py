@@ -59,6 +59,12 @@ class StateVector:
             raise InvalidParamsError(f"state norm^2 = {norm!r}, expected 1")
 
 
+def check_layers(betas, gammas) -> None:
+    """InvalidParamsError unless there is one beta per gamma."""
+    if len(betas) != len(gammas):
+        raise InvalidParamsError("betas and gammas must have equal length")
+
+
 @dataclass(frozen=True)
 class Angles:
     """One (beta, gamma) pair per layer."""
@@ -69,8 +75,7 @@ class Angles:
     def __post_init__(self):
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
-        if len(self.betas) != len(self.gammas):
-            raise InvalidParamsError("betas and gammas must have equal length")
+        check_layers(self.betas, self.gammas)
         if not self.betas:
             raise InvalidParamsError("need at least one layer")
         if not all(math.isfinite(v) for v in self.betas + self.gammas):
@@ -179,6 +184,7 @@ class Engine:
         """Simulated amplitudes in the engine's internal buffer (no copy): the
         states with the top bit clear when the cost is flip-symmetric, else all
         2^n."""
+        check_layers(betas, gammas)
         self._state.fill(1.0 / math.sqrt(self.size))
         for beta, gamma in zip(betas, gammas):
             self._apply_phase(gamma)

@@ -100,7 +100,7 @@ def test_criterion_01_orbit_invariance():
         _, g = pool[i % len(pool)]
         angles = random_angles(rng, int(rng.integers(1, 5)))
         state = Engine(maxcut_diagonal(g)).statevector(angles)
-        orbits = bitstring_orbits(automorphism_generators(g), include_global_flip=True)
+        orbits = bitstring_orbits(BitstringGroup(automorphism_generators(g), True))
         spread = orbit_spread(state, orbits)
         worst_prob = max(worst_prob, spread.probability)
         worst_amp = max(worst_amp, spread.amplitude)

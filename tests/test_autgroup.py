@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import oracles
+from symqaoa import autgroup
 from symqaoa.autgroup import (
     BITSTRING_N_CAP,
     DEGREE_CAP,
     ENUMERATION_CAP,
+    BitstringGroup,
     PermGroup,
     automorphism_generators,
     bitstring_action,
@@ -174,7 +176,7 @@ def test_bitstring_orbits_against_oracle():
         for flip in (False, True):
             use = maps + [[2**g.n - 1 - y for y in m] for m in maps] if flip else maps
             want = oracles.orbit_partition(2**g.n, use)
-            got = bitstring_orbits(grp, include_global_flip=flip)
+            got = bitstring_orbits(BitstringGroup(grp, flip))
             assert got.n_orbits == len(want)
             got_parts = sorted(sorted(got.members(k)) for k in range(got.n_orbits))
             assert got_parts == sorted(want)
@@ -186,7 +188,7 @@ def test_orbit_count_equals_burnside_average():
         grp = automorphism_generators(g)
         for flip in (False, True):
             avg = oracles.burnside_count(g.n, perms, flip)
-            got = bitstring_orbits(grp, include_global_flip=flip).n_orbits
+            got = bitstring_orbits(BitstringGroup(grp, flip)).n_orbits
             assert got == avg, (g.n, g.m, flip)
 
 
@@ -205,7 +207,7 @@ def test_size_limits():
     for build in (
         lambda: bitstring_action(tuple(range(over))),
         lambda: flip_action(over),
-        lambda: bitstring_orbits(PermGroup(over, ())),
+        lambda: bitstring_orbits(BitstringGroup(PermGroup(over, ()))),
     ):
         with pytest.raises(SizeLimitError, match=f"n <= {BITSTRING_N_CAP}, got {over}"):
             build()
@@ -237,6 +239,23 @@ def test_search_refuses_more_than_255_vertices():
     assert automorphism_generators(path(255)).generators == (reversal,)
     with pytest.raises(SizeLimitError, match="255"):
         automorphism_generators(path(256))
+
+
+def test_search_prunes_with_one_orbit_per_explored_child(monkeypatch):
+    # 57 isolated vertices form one cell of the first branching node; the orbit
+    # of its explored children changes only when a child search returns, so it
+    # is computed once per child, not once per candidate vertex
+    calls = []
+    real = autgroup._orbit
+
+    def counting(gens, seeds):
+        calls.append(len(gens))
+        return real(gens, seeds)
+
+    monkeypatch.setattr(autgroup, "_orbit", counting)
+    grp = automorphism_generators(Graph.from_edges(60, [(0, 1), (1, 2)]))
+    assert len(calls) == 114
+    assert len(grp.generators) == 57
 
 
 def test_generators_validate():

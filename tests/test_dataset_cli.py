@@ -31,6 +31,7 @@ from symqaoa.graphs import (
     GraphFamily,
     complete,
     cycle,
+    generate,
     read_edge_list,
     trivial_aut_graph,
     write_edge_list,
@@ -543,6 +544,34 @@ def test_cli_reduce_searches_once(tmp_path, capsys, monkeypatch):
     assert calls == [10]
     data = json.loads(capsys.readouterr().out)
     assert (data["flip_off"]["dim"], data["flip_on"]["dim"]) == (34, 18)
+
+
+def _reduce_json(off: tuple[int, int], on: tuple[int, int]) -> dict:
+    """reduce --json for (dim, group_order) without and with the flip."""
+    return {key: {"dim": dim, "group_order": order, "routes_agree": True}
+            for key, (dim, order) in (("flip_off", off), ("flip_on", on))}
+
+
+def test_cli_symmetry_output_pinned(tmp_path, capsys):
+    # every integer and boolean field of reduce --json and verify --json; the
+    # spreads depend on numpy's SIMD loops, so only their bound is checked
+    cases = [
+        (GraphFamily("hand-picked", {"graph": "petersen"}), (34, 120), (18, 240), (18, 240, 5)),
+        (GraphFamily("cycle", {"n": 14}), (687, 28), (362, 56), (362, 56, 3)),
+        (GraphFamily("complete", {"n": 9}), (10, 362880), (5, 725760), (5, 725760, 9)),
+        (GraphFamily("wheel", {"n": 13}), (448, 24), (224, 48), (224, 48, 3)),
+    ]
+    path = tmp_path / "g.edges"
+    for family, off, on, (orbits, order, checked) in cases:
+        write_edge_list(generate(family), path)
+        capsys.readouterr()
+        assert main(["reduce", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == _reduce_json(off, on)
+        assert main(["verify", str(path), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert max(data.pop("probability_spread"), data.pop("amplitude_spread")) <= 1e-12
+        assert data == {"orbits": orbits, "group_order": order, "conditions_checked": checked,
+                        "conditions_ok": True, "ok": True}
 
 
 def test_cli_verify(tmp_path, capsys):

@@ -109,7 +109,7 @@ def test_reduced_engine_matches_full(g, flip, angles):
     reduced = ReducedEngine(reduce_operators(diag, build_orbit_basis(g, flip)))
     want = full.expectation(betas, gammas)
     assert reduced.expectation(betas, gammas) == pytest.approx(want, abs=1e-11)
-    orbits = bitstring_orbits(automorphism_generators(g), include_global_flip=True)
+    orbits = bitstring_orbits(BitstringGroup(automorphism_generators(g), True))
     assert max(orbit_spread(full.statevector(Angles(betas, gammas)), orbits)) <= 1e-12
 
 

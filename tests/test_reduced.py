@@ -127,6 +127,16 @@ def test_reduced_engine_preserves_norm():
         assert np.vdot(amps, amps).real == pytest.approx(1.0, abs=1e-12)
 
 
+def test_engines_reject_unequal_angle_lists():
+    g = cycle(5)
+    diag = maxcut_diagonal(g)
+    basis = build_orbit_basis(g, include_flip=True)
+    for engine in (Engine(diag), ReducedEngine(reduce_operators(diag, basis))):
+        for betas, gammas in (([0.1, 0.2], [0.3]), ([0.1], [0.2, 0.3])):
+            with pytest.raises(InvalidParamsError, match="equal length"):
+                engine.expectation(betas, gammas)
+
+
 def test_reduce_rejects_noninvariant_cost():
     # S4 orbits are Hamming-weight classes; a path's cut count is not constant
     # on them

@@ -71,8 +71,8 @@ def test_single_edge_peak_ratio():
 
 
 def test_optimizer_deterministic_and_bounded():
-    a1, r1 = optimize_linear(cycle(5), p=2, restarts=3, seed=9)
-    a2, r2 = optimize_linear(cycle(5), p=2, restarts=3, seed=9)
+    a1, r1 = optimize_linear(ScheduleEvaluator(cycle(5)), p=2, restarts=3, seed=9)
+    a2, r2 = optimize_linear(ScheduleEvaluator(cycle(5)), p=2, restarts=3, seed=9)
     assert a1 == a2
     assert r1 == r2
     assert 0.0 <= a1.beta_start <= math.pi and 0.0 <= a1.beta_end <= math.pi
@@ -82,21 +82,21 @@ def test_optimizer_deterministic_and_bounded():
 
 def test_optimizer_restarts_monotone():
     # same seed draws the same start points, so more restarts cannot do worse
-    _, r_few = optimize_linear(cycle(5), p=2, restarts=1, seed=4)
-    _, r_more = optimize_linear(cycle(5), p=2, restarts=6, seed=4)
+    _, r_few = optimize_linear(ScheduleEvaluator(cycle(5)), p=2, restarts=1, seed=4)
+    _, r_more = optimize_linear(ScheduleEvaluator(cycle(5)), p=2, restarts=6, seed=4)
     assert r_more >= r_few - 1e-12
 
 
 def test_optimizer_finds_single_edge_peak():
-    _, ratio = optimize_linear(EDGE, p=1, restarts=4, seed=2)
+    _, ratio = optimize_linear(ScheduleEvaluator(EDGE), p=1, restarts=4, seed=2)
     assert ratio == pytest.approx(1.0, abs=1e-5)
 
 
 def test_optimizer_validation():
     with pytest.raises(InvalidParamsError):
-        optimize_linear(EDGE, p=0, restarts=1, seed=0)
+        optimize_linear(ScheduleEvaluator(EDGE), p=0, restarts=1, seed=0)
     with pytest.raises(InvalidParamsError):
-        optimize_linear(EDGE, p=1, restarts=0, seed=0)
+        optimize_linear(ScheduleEvaluator(EDGE), p=1, restarts=0, seed=0)
     with pytest.raises(InvalidParamsError):
         ScheduleEvaluator(Graph.from_edges(3, []))
 

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from symqaoa import simulator
 from symqaoa.autgroup import (
+    BitstringGroup,
     PermGroup,
     automorphism_generators,
     bitstring_action,
@@ -157,7 +158,7 @@ def test_expectation_paths_agree():
 def test_orbit_invariance_of_evolution(graph):
     rng = random.Random(graph.n * 37 + graph.m)
     diag = maxcut_diagonal(graph)
-    orbits = bitstring_orbits(automorphism_generators(graph), include_global_flip=True)
+    orbits = bitstring_orbits(BitstringGroup(automorphism_generators(graph), True))
     state = Engine(diag).statevector(random_angles(rng, 3))
     spread = orbit_spread(state, orbits)
     assert spread.probability < 1e-12
@@ -165,7 +166,7 @@ def test_orbit_invariance_of_evolution(graph):
 
 
 def test_orbit_spread_detects_asymmetry():
-    orbits = bitstring_orbits(PermGroup(1, ()), include_global_flip=True)
+    orbits = bitstring_orbits(BitstringGroup(PermGroup(1, ()), True))
     assert orbits.n_orbits == 1
     state = StateVector(1, [math.sqrt(3) / 2, 0.5])
     spread = orbit_spread(state, orbits)
