@@ -18,6 +18,7 @@ import numpy as np
 from symqaoa import __version__
 from symqaoa.autgroup import (
     BITSTRING_N_CAP,
+    DEGREE_CAP,
     BitstringGroup,
     automorphism_generators,
     bitstring_orbits,
@@ -58,6 +59,7 @@ from symqaoa.schedules import (
     LinearSchedule,
     ScheduleEvaluator,
     SearchSettings,
+    check_depth,
     find_pmin,
     trace_csv,
 )
@@ -135,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     gd = sub.add_parser("gen-dataset", help="generate the instance dataset (resumable)")
     gd.add_argument("--out", required=True, help="JSONL output path, appended to")
     gd.add_argument("--max-n", type=int, default=14)
-    gd.add_argument("--timing", action="store_true", help="record per-instance seconds")
     gd.set_defaults(handler=cmd_gen_dataset)
 
     tr = sub.add_parser("train", help="fit both depth predictors on a dataset")
@@ -167,7 +168,19 @@ def _emit(data: dict, as_json: bool, text_lines) -> None:
             print(line)
 
 
+def _vertex_count(args) -> int:
+    """Vertices of the graph gen-graphs is asked for, from its flags alone; 0 for
+    the named graphs (all small) and for a missing size, which generate reports."""
+    if args.family == "grid2d":
+        return (args.rows or 0) * (args.cols or 0)
+    if args.family in ("ladder", "circular-ladder", "antiprism"):
+        return 2 * (args.k or 0)
+    return 0 if args.family == "hand-picked" else args.n or 0
+
+
 def cmd_gen_graphs(args) -> int:
+    if (n := _vertex_count(args)) > DEGREE_CAP:
+        raise SizeLimitError(f"gen-graphs supports n <= {DEGREE_CAP}, got {n}")
     params = {}
     for key in ("n", "k", "rows", "cols"):
         value = getattr(args, key)
@@ -205,19 +218,14 @@ def _search(args) -> SearchSettings:
 
 
 def cmd_pmin(args) -> int:
-    g = read_edge_list(args.graph)
-    result = find_pmin(g, _search(args), seed=args.seed)
+    search = _search(args)
+    result = find_pmin(read_edge_list(args.graph), search, seed=args.seed)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace_csv(result))
     s = result.best_schedule
-    data = {
-        "p_min": result.p_min,
-        "censored": result.censored,
-        "ratio_achieved": result.ratio_achieved,
-        "optimum_cut": result.optimum_cut,
-        "best_schedule": dataclasses.asdict(s),
-    }
+    data = dataclasses.asdict(result)
+    del data["trace"]
     headline = (
         f"censored at p_cap={args.p_cap} (best ratio {result.ratio_achieved:.4f})"
         if result.censored
@@ -290,8 +298,7 @@ def cmd_verify(args) -> int:
     g = read_edge_list(args.graph)
     if g.n > BITSTRING_N_CAP:
         raise SizeLimitError(f"verify needs n <= {BITSTRING_N_CAP}, got {g.n}")
-    if args.depth < 1:
-        raise InvalidParamsError(f"depth must be >= 1, got {args.depth}")
+    check_depth(args.depth)
     rng = np.random.default_rng(args.seed)
     betas = tuple(rng.uniform(0.0, BETA_MAX, args.depth))
     gammas = tuple(rng.uniform(0.0, GAMMA_MAX, args.depth))
@@ -339,10 +346,7 @@ def cmd_gen_dataset(args) -> int:
     def progress(done: int, total: int, iid: str):
         print(f"[{done}/{total}] {iid}", file=sys.stderr)
 
-    written = run_generation(
-        config, args.out, workers=max(args.threads, 1), timing=args.timing,
-        progress=progress,
-    )
+    written = run_generation(config, args.out, workers=max(args.threads, 1), progress=progress)
     print(f"wrote {written} new records to {args.out}")
     return 0
 

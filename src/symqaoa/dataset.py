@@ -9,7 +9,6 @@ import json
 import math
 import multiprocessing
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,7 @@ from symqaoa.mlmodel import (
     train_ordinal,
     train_regressor,
 )
-from symqaoa.schedules import LinearSchedule, SearchSettings, find_pmin
+from symqaoa.schedules import LinearSchedule, PminOutcome, SearchSettings, find_pmin
 from symqaoa.simulator import MAX_QUBITS
 
 SCHEMA_VERSION = 1
@@ -49,11 +48,11 @@ MAX_PAIRS = 2000
 # annotation, matched exactly, so that true and false are not numbers.
 _JSON_TYPES = {"int": (int,), "int | None": (int, type(None)), "float": (int, float),
                "float | None": (int, float, type(None)), "str": (str,), "bool": (bool,),
-               "dict": (dict,), "tuple": (list,)}
+               "dict": (dict,), "LinearSchedule": (dict,), "tuple": (list,)}
 
 
 @dataclass(frozen=True)
-class InstanceRecord(SearchSettings):
+class InstanceRecord(SearchSettings, PminOutcome):
     """One dataset row: a graph, its feature vector, and the depth-search outcome
     with the settings it ran under."""
 
@@ -63,20 +62,16 @@ class InstanceRecord(SearchSettings):
     graph_seed: int | None
     n: int
     edges: tuple[tuple[int, int], ...]
-    optimum_cut: int
     features: tuple[float, ...]
-    p_min: int | None
-    censored: bool
-    ratio_achieved: float
-    best_schedule: dict
     pmin_seed: int
     feature_seed: int | None
     software_version: str
     schema_version: int = SCHEMA_VERSION
-    seconds: float | None = None
+    seconds: float | None = None  # written as null; lines holding a float still load
 
     def __post_init__(self):
-        super().__post_init__()
+        SearchSettings.__post_init__(self)
+        PminOutcome.__post_init__(self)
         if len(self.features) != len(FEATURE_NAMES):
             raise InvalidParamsError(
                 f"record {self.id!r} has {len(self.features)} features, "
@@ -84,14 +79,9 @@ class InstanceRecord(SearchSettings):
             )
         if not all(math.isfinite(v) for v in self.features):
             raise InvalidParamsError(f"record {self.id!r} has non-finite features")
-        if self.censored != (self.p_min is None):
-            raise InvalidParamsError(f"record {self.id!r}: censored flag contradicts p_min")
 
     def graph(self) -> Graph:
         return Graph.from_edges(self.n, self.edges)
-
-    def schedule(self) -> LinearSchedule:
-        return LinearSchedule(**self.best_schedule)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -114,10 +104,11 @@ class InstanceRecord(SearchSettings):
                 raise TypeError(f"features are not numbers: {feats!r}")
             values["edges"] = tuple(map(tuple, edges))
             values["features"] = tuple(map(float, feats))
+            values["best_schedule"] = LinearSchedule(**values["best_schedule"])
             return InstanceRecord(**values)
         except KeyError as exc:
             raise ParseError(f"record missing field {exc}") from exc
-        except (TypeError, ValueError, InvalidParamsError) as exc:
+        except (TypeError, ValueError, InvalidParamsError, SizeLimitError) as exc:
             raise ParseError(f"record is malformed: {exc}") from exc
 
 
@@ -229,11 +220,8 @@ def instance_seed(base_seed: int, instance_id: str, purpose: str) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def generate_instance(
-    fam: GraphFamily, config: DatasetConfig, timing: bool = False
-) -> InstanceRecord:
+def generate_instance(fam: GraphFamily, config: DatasetConfig) -> InstanceRecord:
     """Build one graph, compute its features, and run the depth search."""
-    start = time.perf_counter()
     iid = family_label(fam)
     g = generate(fam)
     feature_seed = instance_seed(config.seed, iid, "features")
@@ -248,23 +236,17 @@ def generate_instance(
         graph_seed=fam.seed,
         n=g.n,
         edges=g.edges,
-        optimum_cut=result.optimum_cut,
         features=tuple(float(v) for v in fv.as_array()),
-        p_min=result.p_min,
-        censored=result.censored,
-        ratio_achieved=result.ratio_achieved,
-        best_schedule=dataclasses.asdict(result.best_schedule),
+        **{f.name: getattr(result, f.name) for f in dataclasses.fields(PminOutcome)},
         **dataclasses.asdict(search),
         pmin_seed=pmin_seed,
         feature_seed=feature_seed if math.comb(g.m, 2) > MAX_PAIRS else None,
         software_version=__version__,
-        seconds=round(time.perf_counter() - start, 3) if timing else None,
     )
 
 
 def _generation_task(args) -> tuple[str, str]:
-    fam, config, timing = args
-    record = generate_instance(fam, config, timing=timing)
+    record = generate_instance(*args)
     return record.id, record_line(record)
 
 
@@ -308,9 +290,7 @@ def _resume_ids(path, config: DatasetConfig) -> set[str]:
     return {rec.id for rec in records}
 
 
-def run_generation(
-    config: DatasetConfig, path, workers: int = 1, timing: bool = False, progress=None
-) -> int:
+def run_generation(config: DatasetConfig, path, workers: int = 1, progress=None) -> int:
     """Append records for every configured instance not already in the file.
 
     Records land in config order regardless of worker count, one flushed line
@@ -319,7 +299,7 @@ def run_generation(
     """
     done = _resume_ids(path, config) if os.path.exists(path) else set()
     pending = [f for f in config.families if family_label(f) not in done]
-    tasks = [(f, config, timing) for f in pending]
+    tasks = [(f, config) for f in pending]
     written = 0
     with open(path, "a", encoding="utf-8") as out:
 

@@ -9,6 +9,7 @@ seeded random starts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -31,10 +32,22 @@ GAMMA_MAX = 2.0 * math.pi
 _BOX_HI = np.array([BETA_MAX, BETA_MAX, GAMMA_MAX, GAMMA_MAX])
 
 REDUCED_DIM_CAP = 1024
+DEPTH_CAP = 1000  # largest depth of a schedule, a search or verify's random angles
+
+
+def check_depth(p) -> None:
+    """Raise InvalidParamsError unless p is an int >= 1 (bools are not), and
+    SizeLimitError if it exceeds DEPTH_CAP."""
+    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+        raise InvalidParamsError(f"depth must be an integer >= 1, got {p!r}")
+    if p > DEPTH_CAP:
+        raise SizeLimitError(f"depth must be <= {DEPTH_CAP}, got {p}")
 
 
 @dataclass(frozen=True)
 class LinearSchedule:
+    """Depth p and four endpoints, checked when built (see check_depth)."""
+
     p: int
     beta_start: float
     beta_end: float
@@ -42,8 +55,10 @@ class LinearSchedule:
     gamma_end: float
 
     def __post_init__(self):
-        if self.p < 1:
-            raise InvalidParamsError(f"depth must be >= 1, got {self.p}")
+        check_depth(self.p)
+        for v in self.endpoints():
+            if not isinstance(v, numbers.Real) or isinstance(v, bool) or not math.isfinite(v):
+                raise InvalidParamsError(f"schedule endpoints must be finite numbers, got {v!r}")
 
     def endpoints(self) -> tuple[float, float, float, float]:
         return (self.beta_start, self.beta_end, self.gamma_start, self.gamma_end)
@@ -136,8 +151,7 @@ def optimize_linear(
     """
     if restarts < 1:
         raise InvalidParamsError(f"need restarts >= 1, got {restarts}")
-    if p < 1:
-        raise InvalidParamsError(f"depth must be >= 1, got {p}")
+    check_depth(p)
     rng = np.random.default_rng(seed)
     starts = rng.random((restarts, 4)) * _BOX_HI
     bounds = [(0.0, BETA_MAX), (0.0, BETA_MAX), (0.0, GAMMA_MAX), (0.0, GAMMA_MAX)]
@@ -177,15 +191,25 @@ class TraceEntry(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PminResult:
+class PminOutcome:
     """Outcome of the depth search: the smallest depth whose optimized ratio
-    reached the target, or a censored marker when the cap was exhausted."""
+    reached the target, or p_min None and censored when the cap was exhausted."""
 
     p_min: int | None
     censored: bool
     ratio_achieved: float
     best_schedule: LinearSchedule
     optimum_cut: int
+
+    def __post_init__(self):
+        if self.censored != (self.p_min is None):
+            raise InvalidParamsError(f"censored flag {self.censored} contradicts p_min {self.p_min}")
+
+
+@dataclass(frozen=True)
+class PminResult(PminOutcome):
+    """The outcome plus the best ratio and schedule at each depth scanned."""
+
     trace: tuple[TraceEntry, ...]
 
 
@@ -194,7 +218,8 @@ class SearchSettings:
     """The settings of the depth search, which define every p_min it reports:
     the target ratio, the depth range p_start..p_cap and the Nelder-Mead
     restarts per depth. Building one checks that the target is positive and
-    finite, 1 <= p_start <= p_cap and restarts >= 1 (InvalidParamsError)."""
+    finite, 1 <= p_start <= p_cap and restarts >= 1 (InvalidParamsError), and
+    that p_cap <= DEPTH_CAP (SizeLimitError)."""
 
     target_ratio: float = 0.95
     p_start: int = 2
@@ -208,6 +233,7 @@ class SearchSettings:
             )
         if self.p_start < 1 or self.p_cap < self.p_start:
             raise InvalidParamsError(f"bad depth range [{self.p_start}, {self.p_cap}]")
+        check_depth(self.p_cap)
         if self.restarts < 1:
             raise InvalidParamsError(f"need restarts >= 1, got {self.restarts}")
 

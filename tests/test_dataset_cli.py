@@ -37,7 +37,7 @@ from symqaoa.graphs import (
     write_edge_list,
 )
 from symqaoa.mlmodel import load_model
-from symqaoa.schedules import LinearSchedule, SearchSettings
+from symqaoa.schedules import DEPTH_CAP, LinearSchedule, PminOutcome, SearchSettings
 from symqaoa.simulator import Engine, maxcut_diagonal, probabilities_csv
 
 TINY = DatasetConfig(
@@ -55,6 +55,9 @@ TINY = DatasetConfig(
 )
 
 
+SCHEDULE = {"p": 2, "beta_start": 0.1, "beta_end": 0.2, "gamma_start": 0.3, "gamma_end": 0.4}
+
+
 def make_record(i: int, family: str, p_min, **overrides) -> InstanceRecord:
     feats = tuple(float(v) for v in np.sin(np.arange(10) * 0.7 + i))
     fields = dict(
@@ -69,8 +72,7 @@ def make_record(i: int, family: str, p_min, **overrides) -> InstanceRecord:
         p_min=p_min,
         censored=p_min is None,
         ratio_achieved=0.96,
-        best_schedule={"p": 2, "beta_start": 0.1, "beta_end": 0.2,
-                       "gamma_start": 0.3, "gamma_end": 0.4},
+        best_schedule=LinearSchedule(**SCHEDULE),
         target_ratio=0.95,
         p_start=2,
         p_cap=15,
@@ -110,7 +112,7 @@ def test_record_round_trip():
     # canonical form: sorted keys, no whitespace
     assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
     assert rec.graph().edges == ((0, 1), (1, 2))
-    assert rec.schedule().p == 2
+    assert rec.best_schedule.p == 2
 
 
 def test_record_validation():
@@ -142,7 +144,11 @@ def test_record_validation():
      ("edges", [[0, 1.7]]), ("edges", [[True, 2]]), ("edges", [["1", "2"]]), ("edges", [[0]]),
      ("edges", [5]), ("features", ["1.5"] * 10), ("features", [True] * 10),
      ("features", [None] * 10), ("p_start", 0), ("restarts", 0), ("p_cap", -3),
-     ("target_ratio", -1.0)],
+     ("target_ratio", -1.0), ("best_schedule", {}), ("best_schedule", {**SCHEDULE, "p": "x"}),
+     ("best_schedule", {**SCHEDULE, "p": 0}), ("best_schedule", {**SCHEDULE, "p": 2.0}),
+     ("best_schedule", {**SCHEDULE, "p": True}), ("best_schedule", {**SCHEDULE, "beta_end": "x"}),
+     ("best_schedule", {**SCHEDULE, "gamma_start": math.nan}),
+     ("best_schedule", {**SCHEDULE, "extra": 1})],
 )
 def test_record_rejects_malformed_fields(tmp_path, capsys, field, value):
     data = json.loads(record_line(make_record(0, "x", 4)))
@@ -611,6 +617,8 @@ def test_cli_pmin(tmp_path, capsys):
                  "pmin", str(path), "--trace", str(trace), "--json"])
     assert code == 0
     data = json.loads(capsys.readouterr().out)
+    assert set(data) == {f.name for f in dataclasses.fields(PminOutcome)}
+    assert set(data["best_schedule"]) == {f.name for f in dataclasses.fields(LinearSchedule)}
     assert data["p_min"] == 1
     assert data["censored"] is False
     assert data["ratio_achieved"] >= 0.95
@@ -636,6 +644,53 @@ def test_cli_rejects_graphs_above_255_vertices(tmp_path, capsys):
         assert main([verb, str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "255" in err and "Traceback" not in err
+
+
+def test_cli_refuses_depth_above_cap(tmp_path, capsys, monkeypatch):
+    # each depth input above DEPTH_CAP exits 3 before it builds an angle array,
+    # and a search cap above it before any graph is built or file opened
+    path = tmp_path / "path3.edges"
+    write_edge_list(Graph.from_edges(3, [(0, 1), (1, 2)]), path)
+    calls = []
+    read = cli.read_edge_list
+    monkeypatch.setattr(cli, "read_edge_list", lambda p: calls.append("read") or read(p))
+    for name in ("Engine", "ScheduleEvaluator"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(name))
+    monkeypatch.setattr(dataset, "feature_vector", lambda *a: calls.append("features"))
+    over = str(DEPTH_CAP + 1)
+    out = tmp_path / "d.jsonl"
+    for argv in (["verify", str(path), "--depth", over],
+                 ["simulate", str(path), "--depth", over, "--schedule", "0.1,0.2,0.3,0.4"],
+                 ["--p-cap", over, "--restarts", "1", "--target-ratio", "0.5", "pmin", str(path)],
+                 ["--p-cap", over, "gen-dataset", "--out", str(out), "--max-n", "6"]):
+        capsys.readouterr()
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert f"depth must be <= {DEPTH_CAP}, got {over}" in err and "Traceback" not in err
+    assert not out.exists()
+    assert calls == ["read", "read"]  # verify and simulate read the graph first
+
+
+@pytest.mark.parametrize(
+    "flags,vertices",
+    [(["--family", "complete", "--n"], (256, 255)), (["--family", "ladder", "--k"], (128, 127)),
+     (["--family", "random-regular", "--k", "3", "--graph-seed", "1", "--n"], (258, 254)),
+     (["--family", "grid2d", "--rows", "16", "--cols"], (16, 15))],
+    ids=["complete", "ladder", "random-regular", "grid2d"],
+)
+def test_cli_gen_graphs_degree_cap(tmp_path, capsys, monkeypatch, flags, vertices):
+    # a graph above DEGREE_CAP vertices is refused before any edge is built
+    over, under = vertices
+    out = tmp_path / "g.edges"
+    built = []
+    monkeypatch.setattr(cli, "generate", lambda fam: built.append(fam))
+    assert main(["gen-graphs", *flags, str(over), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"n <= {autgroup.DEGREE_CAP}" in err and "Traceback" not in err
+    assert built == [] and not out.exists()
+    monkeypatch.undo()
+    assert main(["gen-graphs", *flags, str(under), "--out", str(out)]) == 0
+    assert read_edge_list(out).n <= autgroup.DEGREE_CAP
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -11,6 +11,7 @@ from symqaoa.errors import InvalidParamsError, SizeLimitError
 from symqaoa.graphs import Graph, complete, cycle, named, star, trivial_aut_graph
 from symqaoa.reduced import ReducedEngine
 from symqaoa.schedules import (
+    DEPTH_CAP,
     LinearSchedule,
     ScheduleEvaluator,
     SearchSettings,
@@ -59,6 +60,31 @@ def test_schedule_expand():
     assert single.gammas == (0.7,)
     with pytest.raises(InvalidParamsError):
         LinearSchedule(0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [(True, 0.1, 0.2, 0.3, 0.4), (2.0, 0.1, 0.2, 0.3, 0.4), ("2", 0.1, 0.2, 0.3, 0.4),
+     (2, "0.1", 0.2, 0.3, 0.4), (2, 0.1, math.nan, 0.3, 0.4), (2, 0.1, 0.2, math.inf, 0.4),
+     (2, 0.1, 0.2, 0.3, False), (2, 0.1, 0.2, 0.3, None)],
+)
+def test_schedule_checks_its_fields(fields):
+    with pytest.raises(InvalidParamsError):
+        LinearSchedule(*fields)
+
+
+def test_schedule_accepts_numpy_endpoints():
+    sched = LinearSchedule(2, np.float64(0.1), np.float32(0.2), 0, 0.4)
+    assert sched.expand().betas == pytest.approx((0.1, 0.2))
+
+
+def test_depth_cap():
+    assert LinearSchedule(DEPTH_CAP, 0.1, 0.2, 0.3, 0.4).p == DEPTH_CAP
+    assert SearchSettings(p_cap=DEPTH_CAP).p_cap == DEPTH_CAP
+    with pytest.raises(SizeLimitError, match=f"depth must be <= {DEPTH_CAP}, got {DEPTH_CAP + 1}"):
+        LinearSchedule(DEPTH_CAP + 1, 0.1, 0.2, 0.3, 0.4)
+    with pytest.raises(SizeLimitError, match=f"depth must be <= {DEPTH_CAP}"):
+        SearchSettings(p_cap=DEPTH_CAP + 1)
 
 
 def test_single_edge_peak_ratio():

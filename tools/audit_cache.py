@@ -46,14 +46,8 @@ def audit_line(line: str) -> tuple[str, bool, float]:
     cached = parse_record(line)
     fam = GraphFamily(cached.family, cached.params, cached.graph_seed)
     p_start, p_cap = (cached.p_start, cached.p_cap) if cached.censored else (cached.p_min,) * 2
-    config = DatasetConfig(
-        (fam,),
-        target_ratio=cached.target_ratio,
-        p_start=p_start,
-        p_cap=p_cap,
-        restarts=cached.restarts,
-        seed=acceptance_config().seed,
-    )
+    search = dataclasses.replace(cached.search, p_start=p_start, p_cap=p_cap)
+    config = DatasetConfig((fam,), seed=acceptance_config().seed, **dataclasses.asdict(search))
     fresh = generate_instance(fam, config)
     fresh = dataclasses.replace(fresh, p_start=cached.p_start, p_cap=cached.p_cap)
     return cached.id, record_line(fresh) == line, abs(fresh.ratio_achieved - cached.ratio_achieved)
