@@ -10,6 +10,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from symqaoa.features import EXPECTED_SIGNS, FEATURE_NAMES, feature_vector
 from symqaoa.graphs import Graph, GraphFamily, generate
 from symqaoa.mlmodel import (
     DEFAULT_CUTOFFS,
+    N_FOLDS,
     PminPredictor,
     Standardizer,
     cross_validate,
@@ -351,41 +353,43 @@ def split_dataset(
     return train, test
 
 
+class ModelScores(NamedTuple):
+    """One predictor's cross-validated (gamma, lambda) and CV error, its median
+    |err| on each split, and its Pearson r on the test split."""
+
+    gamma: float
+    lam: float
+    cv_err: float
+    train_err: float
+    test_err: float
+    test_pearson: float
+
+
 @dataclass(frozen=True)
 class TrainReport:
-    """Everything cmd_train prints: CV choice, per-feature correlations against
-    the observed depth, and both models' errors on each split."""
+    """Everything cmd_train prints: per-feature correlations against the observed
+    depth, and each model's scores."""
 
     n_train: int
     n_test: int
     censored_train: int
     censored_test: int
-    gamma: float
-    lam: float
-    cv_err: float
-    ens_gamma: float
-    ens_lam: float
-    ens_cv_err: float
     correlations: tuple[tuple[str, float], ...]
-    reg_train_err: float
-    reg_test_err: float
-    ens_train_err: float
-    ens_test_err: float
-    reg_test_pearson: float
-    ens_test_pearson: float
-    scatter: tuple[tuple, ...] = field(repr=False, default=())
+    regression: ModelScores
+    ensemble: ModelScores
+    scatter: tuple[tuple, ...] = field(repr=False)
 
     def to_text(self) -> str:
+        models = (("regressor", "regression", self.regression),
+                  ("ensemble", "ensemble", self.ensemble))
         lines = [
             f"trained on {self.n_train} records ({self.censored_train} censored), "
             f"tested on {self.n_test} ({self.censored_test} censored)",
-            f"regressor gamma={self.gamma:g}, lambda={self.lam:g} "
-            f"(5-fold CV median |err| {self.cv_err:.3f})",
-            f"ensemble gamma={self.ens_gamma:g}, lambda={self.ens_lam:g} "
-            f"(5-fold CV median |err| {self.ens_cv_err:.3f})",
-            "",
-            f"{'feature':<16} {'pearson r':>10} {'expected':>9} {'match':>6}",
         ]
+        for name, _, s in models:
+            lines.append(f"{name} gamma={s.gamma:g}, lambda={s.lam:g} "
+                         f"({N_FOLDS}-fold CV median |err| {s.cv_err:.3f})")
+        lines += ["", f"{'feature':<16} {'pearson r':>10} {'expected':>9} {'match':>6}"]
         for name, r in self.correlations:
             expected = EXPECTED_SIGNS[name]
             if math.isnan(r):
@@ -397,11 +401,10 @@ class TrainReport:
             "",
             f"{'model':<12} {'train median |err|':>19} {'test median |err|':>18} "
             f"{'test pearson':>13}",
-            f"{'regression':<12} {self.reg_train_err:>19.3f} {self.reg_test_err:>18.3f} "
-            f"{self.reg_test_pearson:>13.3f}",
-            f"{'ensemble':<12} {self.ens_train_err:>19.3f} {self.ens_test_err:>18.3f} "
-            f"{self.ens_test_pearson:>13.3f}",
         ]
+        for _, label, s in models:
+            lines.append(f"{label:<12} {s.train_err:>19.3f} {s.test_err:>18.3f} "
+                         f"{s.test_pearson:>13.3f}")
         return "\n".join(lines) + "\n"
 
     def scatter_csv(self) -> str:
@@ -468,51 +471,41 @@ def train_models(
     fin_test = np.isfinite(y_test)
 
     fams_finite = [f for f, keep in zip(fam_train, fin_train) if keep]
-    gamma, lam, cv_err = cross_validate(
-        x_train[fin_train], y_train[fin_train], fams_finite, seed=cv_seed
-    )
-    ens_gamma, ens_lam, ens_cv_err = cross_validate_ordinal(
-        x_train, y_train, fam_train, seed=cv_seed, cutoffs=cutoffs
-    )
+    # each cross-validation returns (gamma, lambda, CV error)
+    reg_cv = cross_validate(x_train[fin_train], y_train[fin_train], fams_finite, seed=cv_seed)
+    ens_cv = cross_validate_ordinal(x_train, y_train, fam_train, seed=cv_seed, cutoffs=cutoffs)
     standardizer = Standardizer.fit(x_train)
     xs_train = standardizer.apply(x_train)
-    regressor = train_regressor(xs_train[fin_train], y_train[fin_train], gamma, lam)
-    ensemble = train_ordinal(xs_train, y_train, ens_gamma, ens_lam, cutoffs=cutoffs)
-    predictor = PminPredictor(standardizer, regressor, ensemble, gamma, lam)
+    regressor = train_regressor(xs_train[fin_train], y_train[fin_train], *reg_cv[:2])
+    ensemble = train_ordinal(xs_train, y_train, *ens_cv[:2], cutoffs=cutoffs)
+    predictor = PminPredictor(standardizer, regressor, ensemble, *reg_cv[:2])
 
-    def predictions(recs):
-        reg = np.array([predictor.predict_regression(r.features) for r in recs])
-        ens = np.array([predictor.predict_ensemble(r.features) for r in recs])
-        return reg, ens
+    def score(cv, predict) -> tuple[ModelScores, np.ndarray]:
+        """One model's scores from its CV triple, and its test predictions."""
+        pred_train, pred_test = (
+            np.array([predict(r.features) for r in recs]) for recs in (train_recs, test_recs)
+        )
+        fit = (y_train[fin_train], pred_train[fin_train])
+        held = (y_test[fin_test], pred_test[fin_test])
+        return ModelScores(*cv, median_abs_err(*fit), median_abs_err(*held),
+                           _pearson_or_nan(*held)), pred_test
 
-    reg_train, ens_train = predictions(train_recs)
-    reg_test, ens_test = predictions(test_recs)
-
+    regression, reg_test = score(reg_cv, predictor.predict_regression)
+    ens_scores, ens_test = score(ens_cv, predictor.predict_ensemble)
     scatter = tuple(
         (rec.id, rec.family, rec.n, rec.p_min, float(reg), float(ens))
         for rec, reg, ens in zip(test_recs, reg_test, ens_test)
     )
-    report = TrainReport(
+    return predictor, TrainReport(
         n_train=len(train_recs),
         n_test=len(test_recs),
         censored_train=int((~fin_train).sum()),
         censored_test=int((~fin_test).sum()),
-        gamma=gamma,
-        lam=lam,
-        cv_err=cv_err,
-        ens_gamma=ens_gamma,
-        ens_lam=ens_lam,
-        ens_cv_err=ens_cv_err,
         correlations=feature_correlations(records),
-        reg_train_err=median_abs_err(y_train[fin_train], reg_train[fin_train]),
-        reg_test_err=median_abs_err(y_test[fin_test], reg_test[fin_test]),
-        ens_train_err=median_abs_err(y_train[fin_train], ens_train[fin_train]),
-        ens_test_err=median_abs_err(y_test[fin_test], ens_test[fin_test]),
-        reg_test_pearson=_pearson_or_nan(y_test[fin_test], reg_test[fin_test]),
-        ens_test_pearson=_pearson_or_nan(y_test[fin_test], ens_test[fin_test]),
+        regression=regression,
+        ensemble=ens_scores,
         scatter=scatter,
     )
-    return predictor, report
 
 
 def dataset_report(records: list[InstanceRecord]) -> str:

@@ -194,10 +194,18 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
 
 
 def trivial_aut_graph(n: int, k: int, seed: int) -> Graph:
-    """Random k-regular graph rejection-sampled until its automorphism group is trivial."""
+    """Random k-regular graph rejection-sampled until its automorphism group is trivial.
+
+    Every graph of degree <= 2 on two or more vertices (cycles, a matching, no
+    edges) has a non-trivial automorphism, and a graph has its complement's group."""
     # Lazy import: autgroup depends on this module for the Graph type.
     from .autgroup import automorphism_generators
 
+    if k <= 2 or k >= n - 3:
+        raise InvalidParamsError(
+            f"no {k}-regular graph on {n} vertices is asymmetric: it or its complement "
+            f"has degree <= 2 unless 3 <= k <= n - 4"
+        )
     rng = np.random.default_rng(seed)
     for _ in range(ASYMMETRIC_TRIES):
         sub = int(rng.integers(0, 2**63 - 1))

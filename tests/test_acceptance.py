@@ -237,17 +237,17 @@ def test_criterion_06_correlation_signs(records):
 def test_criterion_07_prediction_quality(records):
     _, report = train_models(records, SplitSpec())
     ok = (
-        report.reg_test_err <= 2.5
-        and report.ens_test_err <= 2.5
-        and report.reg_test_pearson >= 0.4
-        and report.ens_test_pearson >= 0.4
+        report.regression.test_err <= 2.5
+        and report.ensemble.test_err <= 2.5
+        and report.regression.test_pearson >= 0.4
+        and report.ensemble.test_pearson >= 0.4
     )
     note(
         7,
         ok,
-        f"test median |err|: regression {report.reg_test_err:.2f}, ensemble "
-        f"{report.ens_test_err:.2f} (cap 2.5); test Pearson: {report.reg_test_pearson:.2f}, "
-        f"{report.ens_test_pearson:.2f} (floor 0.4)",
+        f"test median |err|: regression {report.regression.test_err:.2f}, ensemble "
+        f"{report.ensemble.test_err:.2f} (cap 2.5); test Pearson: {report.regression.test_pearson:.2f}, "
+        f"{report.ensemble.test_pearson:.2f} (floor 0.4)",
     )
     assert ok
 

@@ -24,7 +24,15 @@ from symqaoa.dataset import (
     standard_profile,
     train_models,
 )
-from symqaoa.errors import InsufficientDataError, InvalidParamsError, ParseError, SizeLimitError
+from symqaoa.errors import (
+    InsufficientDataError,
+    InvalidParamsError,
+    NotBijectionError,
+    NotInvariantError,
+    ParseError,
+    SearchBudgetError,
+    SizeLimitError,
+)
 from symqaoa.features import feature_vector
 from symqaoa.graphs import (
     Graph,
@@ -160,6 +168,19 @@ def test_record_rejects_malformed_fields(tmp_path, capsys, field, value):
     path.write_text(line + "\n")
     assert main(["report", "--dataset", str(path)]) == 2
     assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code", [
+    (SizeLimitError, 3), (SearchBudgetError, 3), (NotInvariantError, 4), (InvalidParamsError, 2),
+    (ParseError, 2), (NotBijectionError, 2), (OSError, 2)],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_cli_maps_each_error_to_its_exit_code(tmp_path, capsys, monkeypatch, error, code):
+    def handler(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_report", handler)
+    assert main(["report", "--dataset", str(tmp_path / "d.jsonl")]) == code
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 @pytest.mark.parametrize("verb", [["report", "--dataset"], ["gen-dataset", "--max-n", "6", "--out"],
@@ -399,12 +420,33 @@ def test_train_models_synthetic():
     predictor, report = train_models(records, SplitSpec(seed=0))
     assert report.n_train + report.n_test == 48
     assert report.censored_train + report.censored_test == 3
-    assert math.isfinite(report.reg_test_err)
+    assert math.isfinite(report.regression.test_err)
     assert len(report.correlations) == 10
     # depth was built from feature 0, so the regressor must track it closely
-    assert report.reg_test_err < 1.5
+    assert report.regression.test_err < 1.5
     text = report.to_text()
     assert "pearson r" in text and "ensemble" in text
+    assert text == (
+        "trained on 32 records (3 censored), tested on 16 (0 censored)\n"
+        "regressor gamma=1, lambda=0.0001 (5-fold CV median |err| 0.000)\n"
+        "ensemble gamma=0.01, lambda=0.0001 (5-fold CV median |err| 0.554)\n"
+        "\n"
+        "feature           pearson r  expected  match\n"
+        "log_aut               1.000         -     NO\n"
+        "avg_log_aut_1         1.000         -     NO\n"
+        "avg_log_aut_2         1.000         -     NO\n"
+        "n_vertices            1.000         +    yes\n"
+        "n_orbits              1.000         +    yes\n"
+        "avg_orbits_1          1.000         +    yes\n"
+        "avg_orbits_2          1.000         +    yes\n"
+        "entropy               1.000         -     NO\n"
+        "avg_entropy_1         1.000         -     NO\n"
+        "avg_entropy_2         1.000         -     NO\n"
+        "\n"
+        "model         train median |err|  test median |err|  test pearson\n"
+        "regression                 0.000              0.000         1.000\n"
+        "ensemble                   0.429              0.653         0.993\n"
+    )
     lines = report.scatter_csv().splitlines()
     assert lines[0] == "id,family,n,true_pmin,pred_regression,pred_ensemble"
     assert len(lines) == report.n_test + 1

@@ -109,6 +109,21 @@ def test_trivial_aut_graph_has_no_symmetry():
     assert automorphism_generators(g).generators == ()
 
 
+@pytest.mark.parametrize("n, k", [(8, 2), (60, 2), (10, 7), (12, 9), (12, 1)])
+def test_trivial_aut_graph_refuses_symmetric_degrees(n, k, monkeypatch):
+    # no such graph is asymmetric, so none is drawn or searched
+    import symqaoa.autgroup
+    import symqaoa.graphs
+
+    def never(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(symqaoa.autgroup, "automorphism_generators", never)
+    monkeypatch.setattr(symqaoa.graphs, "random_regular", never)
+    with pytest.raises(InvalidParamsError, match="complement has degree <= 2 unless 3 <= k <= n - 4"):
+        trivial_aut_graph(n, k, seed=1)
+
+
 def test_named_graphs():
     pet = named("petersen")
     assert (pet.n, pet.m) == (10, 15)
