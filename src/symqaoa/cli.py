@@ -1,8 +1,8 @@
 """Command-line surface: single-instance analysis verbs plus the dataset,
 training, and prediction pipeline.
 
-Exit codes: 0 ok, 2 invalid input, 3 size or search budget exceeded,
-4 verification failure.
+Exit codes: 0 ok, else the failing error class's exit_code: 2 invalid input,
+3 size or search budget exceeded, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from symqaoa.autgroup import (
     bitstring_orbits,
 )
 from symqaoa.dataset import (
-    MAX_PAIRS,
     DatasetConfig,
     SplitSpec,
     dataset_report,
@@ -34,13 +33,7 @@ from symqaoa.dataset import (
     standard_profile,
     train_models,
 )
-from symqaoa.errors import (
-    InvalidParamsError,
-    NotInvariantError,
-    SearchBudgetError,
-    SizeLimitError,
-    WorkbenchError,
-)
+from symqaoa.errors import InvalidParamsError, SizeLimitError, WorkbenchError
 from symqaoa.features import FEATURE_NAMES, feature_vector
 from symqaoa.graphs import (
     FAMILY_NAMES,
@@ -76,6 +69,13 @@ from symqaoa.simulator import (
 SPREAD_TOLERANCE = 1e-8
 
 
+def non_negative_int(text: str) -> int:
+    """The type of --seed and --graph-seed: numpy's generators need seeds >= 0."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="symqaoa",
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         "MaxCut schedules.",
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    ap.add_argument("--seed", type=int, default=0, help="base seed for every verb")
+    ap.add_argument("--seed", type=non_negative_int, default=0, help="base seed for every verb")
     ap.add_argument("--threads", type=int, default=1, help="worker processes for gen-dataset")
     for f in dataclasses.fields(SearchSettings):
         ap.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
@@ -97,14 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
     gg.add_argument("--cols", type=int)
     gg.add_argument("--periodic", action="store_true")
     gg.add_argument("--name", choices=NAMED_GRAPHS, help="hand-picked graph name")
-    gg.add_argument("--graph-seed", type=int, help="seed for the random families")
+    gg.add_argument("--graph-seed", type=non_negative_int, help="seed for the random families")
     gg.add_argument("--out", help="output path (default: stdout)")
     gg.set_defaults(handler=cmd_gen_graphs)
 
     fe = sub.add_parser("features", help="the ten symmetry features of a graph")
     fe.add_argument("graph", help="edge-list file")
-    fe.add_argument("--max-pairs", type=int, default=MAX_PAIRS,
-                    help="sample this many two-edge deletion pairs when a graph has more")
     fe.add_argument("--json", action="store_true")
     fe.set_defaults(handler=cmd_features)
 
@@ -199,10 +197,14 @@ def cmd_gen_graphs(args) -> int:
     return 0
 
 
+def _features(args, g) -> np.ndarray:
+    """The feature array of a graph, its pair sample (if any) drawn from --seed."""
+    return feature_vector(g, instance_seed(args.seed, "cli", "features")).as_array()
+
+
 def cmd_features(args) -> int:
     g = read_edge_list(args.graph)
-    seed = instance_seed(args.seed, "cli", "features")
-    values = feature_vector(g, args.max_pairs, seed).as_array()
+    values = _features(args, g)
     data = {name: float(v) for name, v in zip(FEATURE_NAMES, values)}
     data.update({"n": g.n, "m": g.m})
     _emit(data, args.json,
@@ -353,8 +355,7 @@ def cmd_gen_dataset(args) -> int:
 
 def cmd_train(args) -> int:
     records = load_dataset(args.dataset)
-    spec = SplitSpec(test_fraction=args.test_fraction, seed=args.seed)
-    predictor, report = train_models(records, spec, cv_seed=args.seed)
+    predictor, report = train_models(records, SplitSpec(args.test_fraction, args.seed))
     save_model(predictor, args.model_out)
     text = report.to_text()
     if args.report_out:
@@ -374,8 +375,7 @@ def cmd_predict(args) -> int:
         raise InvalidParamsError("predict needs exactly one of --graph or --features")
     predictor = load_model(args.model)
     if args.graph:
-        seed = instance_seed(args.seed, "cli", "features")
-        feats = feature_vector(read_edge_list(args.graph), MAX_PAIRS, seed).as_array()
+        feats = _features(args, read_edge_list(args.graph))
     else:
         feats = np.array(_parse_numbers(args.features, len(FEATURE_NAMES), "--features"))
     reg = predictor.predict_regression(feats)
@@ -396,15 +396,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (SizeLimitError, SearchBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NotInvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

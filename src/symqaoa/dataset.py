@@ -22,10 +22,9 @@ from symqaoa.errors import (
     ParseError,
     SizeLimitError,
 )
-from symqaoa.features import EXPECTED_SIGNS, FEATURE_NAMES, feature_vector
+from symqaoa.features import EXPECTED_SIGNS, FEATURE_NAMES, feature_vector, samples_pairs
 from symqaoa.graphs import Graph, GraphFamily, generate
 from symqaoa.mlmodel import (
-    DEFAULT_CUTOFFS,
     N_FOLDS,
     PminPredictor,
     Standardizer,
@@ -41,9 +40,6 @@ from symqaoa.schedules import LinearSchedule, PminOutcome, SearchSettings, find_
 from symqaoa.simulator import MAX_QUBITS
 
 SCHEMA_VERSION = 1
-
-# A graph with more two-edge deletion pairs than this samples this many of them.
-MAX_PAIRS = 2000
 
 
 # The types of the JSON values InstanceRecord.from_dict accepts for each field
@@ -227,7 +223,7 @@ def generate_instance(fam: GraphFamily, config: DatasetConfig) -> InstanceRecord
     iid = family_label(fam)
     g = generate(fam)
     feature_seed = instance_seed(config.seed, iid, "features")
-    fv = feature_vector(g, MAX_PAIRS, feature_seed)
+    fv = feature_vector(g, feature_seed)
     pmin_seed = instance_seed(config.seed, iid, "pmin")
     search = config.search
     result = find_pmin(g, search, seed=pmin_seed)
@@ -242,7 +238,7 @@ def generate_instance(fam: GraphFamily, config: DatasetConfig) -> InstanceRecord
         **{f.name: getattr(result, f.name) for f in dataclasses.fields(PminOutcome)},
         **dataclasses.asdict(search),
         pmin_seed=pmin_seed,
-        feature_seed=feature_seed if math.comb(g.m, 2) > MAX_PAIRS else None,
+        feature_seed=feature_seed if samples_pairs(g) else None,
         software_version=__version__,
     )
 
@@ -449,15 +445,14 @@ def _pearson_or_nan(a, b) -> float:
 def train_models(
     records: list[InstanceRecord],
     split: SplitSpec = SplitSpec(),
-    cv_seed: int = 0,
-    cutoffs=DEFAULT_CUTOFFS,
 ) -> tuple[PminPredictor, TrainReport]:
     """Fit the regressor and the ordinal ensemble on a stratified train split.
 
     Each model gets its own cross-validated (gamma, lambda): the regressor over
     the finite-depth training rows, the ensemble over all training rows with
-    censored depths excluded from the error pool. Requires at least 30
-    non-censored records overall.
+    censored depths excluded from the error pool. split.seed seeds the split
+    and both cross-validations' folds. Requires at least 30 non-censored
+    records overall.
     """
     finite_total = sum(1 for rec in records if not rec.censored)
     if finite_total < 30:
@@ -472,12 +467,12 @@ def train_models(
 
     fams_finite = [f for f, keep in zip(fam_train, fin_train) if keep]
     # each cross-validation returns (gamma, lambda, CV error)
-    reg_cv = cross_validate(x_train[fin_train], y_train[fin_train], fams_finite, seed=cv_seed)
-    ens_cv = cross_validate_ordinal(x_train, y_train, fam_train, seed=cv_seed, cutoffs=cutoffs)
+    reg_cv = cross_validate(x_train[fin_train], y_train[fin_train], fams_finite, seed=split.seed)
+    ens_cv = cross_validate_ordinal(x_train, y_train, fam_train, seed=split.seed)
     standardizer = Standardizer.fit(x_train)
     xs_train = standardizer.apply(x_train)
     regressor = train_regressor(xs_train[fin_train], y_train[fin_train], *reg_cv[:2])
-    ensemble = train_ordinal(xs_train, y_train, *ens_cv[:2], cutoffs=cutoffs)
+    ensemble = train_ordinal(xs_train, y_train, *ens_cv[:2])
     predictor = PminPredictor(standardizer, regressor, ensemble, *reg_cv[:2])
 
     def score(cv, predict) -> tuple[ModelScores, np.ndarray]:

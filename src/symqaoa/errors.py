@@ -1,8 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with the CLI's exit code."""
 
 
 class WorkbenchError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; exit code 2, invalid input."""
+
+    exit_code = 2
 
 
 class InvalidParamsError(WorkbenchError):
@@ -16,9 +18,13 @@ class ParseError(InvalidParamsError):
 class SizeLimitError(WorkbenchError):
     """Instance exceeds a documented size cap (memory or enumeration bound)."""
 
+    exit_code = 3
+
 
 class SearchBudgetError(WorkbenchError):
     """Backtracking search exceeded its node budget; the instance is pathological."""
+
+    exit_code = 3
 
 
 class NotBijectionError(InvalidParamsError):
@@ -27,6 +33,8 @@ class NotBijectionError(InvalidParamsError):
 
 class NotInvariantError(WorkbenchError):
     """A diagonal is not constant on the supplied orbits; the group is not a symmetry."""
+
+    exit_code = 4
 
 
 class SingularSystemError(WorkbenchError):

@@ -66,28 +66,33 @@ def exact_features(g: Graph) -> tuple[float, int, float]:
     return math.log(grp.order()), len(orbits), graph_entropy(orbits, g.n)
 
 
-def _deletion_pairs(m: int, max_pairs: int | None, seed: int | None):
-    pairs = list(itertools.combinations(range(m), 2))
-    if max_pairs is not None and len(pairs) > max_pairs:
-        if seed is None or max_pairs < 1:
-            raise InvalidParamsError("sampling two-edge pairs needs a seed and max_pairs >= 1")
+# A graph with more two-edge deletion pairs than this averages over a seeded
+# sample of this many of them.
+MAX_PAIRS = 2000
+
+
+def samples_pairs(g: Graph) -> bool:
+    """Whether g's two-edge deletion features average over a sample of pairs."""
+    return math.comb(g.m, 2) > MAX_PAIRS
+
+
+def _deletion_pairs(g: Graph, seed: int | None):
+    pairs = list(itertools.combinations(range(g.m), 2))
+    if samples_pairs(g):
+        if seed is None:
+            raise InvalidParamsError(f"sampling {MAX_PAIRS} of {len(pairs)} pairs needs a seed")
         rng = np.random.default_rng(seed)
-        keep = rng.choice(len(pairs), size=max_pairs, replace=False)
+        keep = rng.choice(len(pairs), size=MAX_PAIRS, replace=False)
         pairs = [pairs[i] for i in sorted(keep)]
     return pairs
 
 
-def approx_features(
-    g: Graph,
-    depth: int,
-    max_pairs: int | None = None,
-    seed: int | None = None,
-) -> tuple[float, float, float]:
+def approx_features(g: Graph, depth: int, seed: int | None = None) -> tuple[float, float, float]:
     """Mean of exact_features over all depth-edge deletions of g.
 
-    depth 1 averages over |E| single deletions, depth 2 over C(|E|,2) pairs
-    (optionally a seeded uniform subsample of max_pairs of them). Deletions
-    that disconnect the graph are kept as-is.
+    depth 1 averages over |E| single deletions, depth 2 over C(|E|,2) pairs,
+    or over a sample of MAX_PAIRS of them drawn with seed when there are more.
+    Deletions that disconnect the graph are kept as-is.
     """
     if depth not in (1, 2):
         raise InvalidParamsError(f"deletion depth must be 1 or 2, got {depth}")
@@ -96,9 +101,7 @@ def approx_features(
     if depth == 1:
         variants = [[e] for e in g.edges]
     else:
-        variants = [
-            [g.edges[i], g.edges[j]] for i, j in _deletion_pairs(g.m, max_pairs, seed)
-        ]
+        variants = [[g.edges[i], g.edges[j]] for i, j in _deletion_pairs(g, seed)]
     total = np.zeros(3)
     for removed in variants:
         total += exact_features(g.delete_edges(removed))
@@ -106,17 +109,15 @@ def approx_features(
     return float(mean[0]), float(mean[1]), float(mean[2])
 
 
-def feature_vector(
-    g: Graph, max_pairs: int | None = None, seed: int | None = None
-) -> SymmetryFeatures:
-    """All ten symmetry features of a graph with at least two edges. A graph
-    with more than max_pairs two-edge deletion pairs averages over a sample of
-    max_pairs of them drawn with seed; the others ignore the seed."""
+def feature_vector(g: Graph, seed: int | None = None) -> SymmetryFeatures:
+    """All ten symmetry features of a graph with at least two edges. The seed
+    draws the two-edge pair sample of a graph that samples_pairs; other graphs
+    ignore it."""
     if g.m < 2:
         raise InvalidParamsError(f"feature vector needs at least 2 edges, got {g.m}")
     log_aut, n_orbits, entropy = exact_features(g)
     a1 = approx_features(g, 1)
-    a2 = approx_features(g, 2, max_pairs=max_pairs, seed=seed)
+    a2 = approx_features(g, 2, seed)
     return SymmetryFeatures(
         log_aut=log_aut,
         avg_log_aut_1=a1[0],

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from symqaoa import autgroup, cli, dataset, reduced, simulator
+from acceptance_profile import DATASET_PATH, acceptance_config
+from symqaoa import autgroup, cli, dataset, errors, features, reduced, simulator
 from symqaoa.cli import main
 from symqaoa.dataset import (
     DatasetConfig,
@@ -27,7 +28,6 @@ from symqaoa.dataset import (
 from symqaoa.errors import (
     InsufficientDataError,
     InvalidParamsError,
-    NotBijectionError,
     NotInvariantError,
     ParseError,
     SearchBudgetError,
@@ -170,10 +170,14 @@ def test_record_rejects_malformed_fields(tmp_path, capsys, field, value):
     assert "malformed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error, code", [
-    (SizeLimitError, 3), (SearchBudgetError, 3), (NotInvariantError, 4), (InvalidParamsError, 2),
-    (ParseError, 2), (NotBijectionError, 2), (OSError, 2)],
-    ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, errors.WorkbenchError)]
+NON_INPUT_CODES = {SizeLimitError: 3, SearchBudgetError: 3, NotInvariantError: 4}
+
+
+@pytest.mark.parametrize("error, code",
+                         [(e, NON_INPUT_CODES.get(e, 2)) for e in ERROR_CLASSES + [OSError]],
+                         ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
 def test_cli_maps_each_error_to_its_exit_code(tmp_path, capsys, monkeypatch, error, code):
     def handler(args):
         raise error("boom")
@@ -482,20 +486,21 @@ def test_cli_gen_graphs_and_features(tmp_path, capsys):
     assert data["n_orbits"] == 1
 
 
-def test_cli_features_max_pairs_samples_small_graphs(tmp_path, capsys):
-    # one rule for every graph: more than --max-pairs two-edge deletion pairs
-    # means a sample of that many, whatever the edge count
+def test_cli_features_max_pairs_samples_small_graphs(tmp_path, capsys, monkeypatch):
+    # one rule for every graph: more than features.MAX_PAIRS two-edge deletion
+    # pairs means a sample of that many, whatever the edge count
     path = tmp_path / "petersen.edges"
     main(["gen-graphs", "--family", "hand-picked", "--name", "petersen", "--out", str(path)])
     capsys.readouterr()
     out = {}
-    for cap in ("40", "105", None):
-        assert main(["features", str(path), "--json"] + (["--max-pairs", cap] if cap else [])) == 0
+    for cap in (None, 105, 40):
+        if cap:
+            monkeypatch.setattr(features, "MAX_PAIRS", cap)
+        assert main(["features", str(path), "--json"]) == 0
         out[cap] = json.loads(capsys.readouterr().out)
-    assert out["105"] == out[None]  # C(15, 2) = 105 pairs: no sample
-    assert out["40"]["avg_orbits_2"] != out[None]["avg_orbits_2"]
-    assert out["40"]["avg_orbits_1"] == out[None]["avg_orbits_1"]
-    assert main(["features", str(path), "--max-pairs", "0"]) == 2
+    assert out[105] == out[None]  # C(15, 2) = 105 pairs: no sample
+    assert out[40]["avg_orbits_2"] != out[None]["avg_orbits_2"]
+    assert out[40]["avg_orbits_1"] == out[None]["avg_orbits_1"]
 
 
 def test_cli_gen_graphs_stdout(capsys):
@@ -733,6 +738,34 @@ def test_cli_gen_graphs_degree_cap(tmp_path, capsys, monkeypatch, flags, vertice
     monkeypatch.undo()
     assert main(["gen-graphs", *flags, str(under), "--out", str(out)]) == 0
     assert read_edge_list(out).n <= autgroup.DEGREE_CAP
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "-1", "verify", "g.edges"],
+    ["--seed", "-1", "pmin", "g.edges"],
+    ["--seed", "-1", "train", "--dataset", "d.jsonl", "--model-out", "m.txt"],
+    ["gen-graphs", "--family", "random-regular", "--n", "8", "--k", "3", "--graph-seed", "-1"],
+], ids=["verify", "pmin", "train", "gen-graphs"])
+def test_cli_refuses_negative_seeds(capsys, argv):
+    # numpy's generators refuse a negative seed; argparse refuses it first
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    flag = "--graph-seed" if "--graph-seed" in argv else "--seed"
+    assert f"argument {flag}: must be >= 0, got -1" in err and "Traceback" not in err
+
+
+def test_cached_feature_seeds_follow_the_sampling_rule():
+    # a record stores its pair-sample seed exactly when its graph samples pairs
+    records = load_dataset(DATASET_PATH)
+    sampled = {rec.id for rec in records if features.samples_pairs(rec.graph())}
+    assert len(records) == 130
+    assert sampled == {"complete-n12", "complete-n13", "complete-n14"}
+    seed = acceptance_config().seed
+    for rec in records:
+        want = instance_seed(seed, rec.id, "features") if rec.id in sampled else None
+        assert rec.feature_seed == want, rec.id
 
 
 def test_cli_exit_codes(tmp_path, capsys):

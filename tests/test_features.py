@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from symqaoa import features
 from symqaoa.errors import InvalidParamsError
 from symqaoa.features import (
     FEATURE_NAMES,
@@ -87,7 +88,7 @@ def test_triangle_one_edge():
 
 def test_trivial_graph_log_features_vanish():
     g = trivial_aut_graph(12, 3, seed=2)
-    fv = feature_vector(g, max_pairs=200, seed=9)
+    fv = feature_vector(g, seed=9)
     assert fv.log_aut == 0.0
     assert fv.entropy == 0.0
     assert fv.n_orbits == 12
@@ -123,22 +124,32 @@ def test_relabel_invariance():
         assert fv_a.as_array() == pytest.approx(fv_b.as_array(), abs=1e-10)
 
 
-def test_subsampled_pairs_reproducible():
+def test_subsampled_pairs_reproducible(monkeypatch):
     g = named("petersen")  # C(15,2) = 105 pairs
-    first = approx_features(g, 2, max_pairs=40, seed=5)
-    again = approx_features(g, 2, max_pairs=40, seed=5)
+    full = approx_features(g, 2)
+    monkeypatch.setattr(features, "MAX_PAIRS", 40)
+    first = approx_features(g, 2, seed=5)
+    again = approx_features(g, 2, seed=5)
     assert first == again
-    other = approx_features(g, 2, max_pairs=40, seed=6)
+    other = approx_features(g, 2, seed=6)
     assert other != first
     # a cap at or above the pair count must not subsample at all
-    full = approx_features(g, 2)
-    assert approx_features(g, 2, max_pairs=105, seed=1) == full
+    monkeypatch.setattr(features, "MAX_PAIRS", 105)
+    assert approx_features(g, 2, seed=1) == full
 
 
-def test_subsample_requires_seed():
-    g = named("petersen")
-    with pytest.raises(InvalidParamsError):
-        approx_features(g, 2, max_pairs=40)
+def test_subsample_requires_seed(monkeypatch):
+    # K14 has C(91, 2) = 4,095 two-edge pairs, above the real cap; K11 has 1,485
+    assert features.samples_pairs(complete(14)) and not features.samples_pairs(complete(11))
+
+    def no_deletions(h):
+        raise AssertionError("a deletion was computed before the seed check")
+
+    monkeypatch.setattr(features, "exact_features", no_deletions)
+    for g, cap in ((complete(14), features.MAX_PAIRS), (named("petersen"), 40)):
+        monkeypatch.setattr(features, "MAX_PAIRS", cap)
+        with pytest.raises(InvalidParamsError, match="needs a seed"):
+            approx_features(g, 2)
 
 
 def test_feature_vector_needs_two_edges():
