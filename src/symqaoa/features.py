@@ -58,12 +58,16 @@ def graph_entropy(orbits: list[list[int]], n: int) -> float:
     return sum(len(a) * math.log(len(a)) for a in orbits) / n
 
 
-def exact_features(g: Graph) -> tuple[float, int, float]:
-    """(ln|Aut|, orbit count, entropy) of one graph."""
-    grp = automorphism_generators(g)
+def _measures(g: Graph, grp) -> tuple[tuple[float, int, float], list[list[int]]]:
+    """((ln|Aut|, orbit count, entropy), vertex orbits) of g, whose group is grp."""
     orbits = vertex_orbits(grp)
     # math.log takes ints of any size, so orders beyond float64 are fine
-    return math.log(grp.order()), len(orbits), graph_entropy(orbits, g.n)
+    return (math.log(grp.order()), len(orbits), graph_entropy(orbits, g.n)), orbits
+
+
+def exact_features(g: Graph) -> tuple[float, int, float]:
+    """(ln|Aut|, orbit count, entropy) of one graph."""
+    return _measures(g, automorphism_generators(g))[0]
 
 
 # A graph with more two-edge deletion pairs than this averages over a seeded
@@ -76,15 +80,76 @@ def samples_pairs(g: Graph) -> bool:
     return math.comb(g.m, 2) > MAX_PAIRS
 
 
-def _deletion_pairs(g: Graph, seed: int | None):
-    pairs = list(itertools.combinations(range(g.m), 2))
-    if samples_pairs(g):
-        if seed is None:
-            raise InvalidParamsError(f"sampling {MAX_PAIRS} of {len(pairs)} pairs needs a seed")
-        rng = np.random.default_rng(seed)
-        keep = rng.choice(len(pairs), size=MAX_PAIRS, replace=False)
-        pairs = [pairs[i] for i in sorted(keep)]
+def _deletion_pairs(g: Graph, seed: int | None) -> list[tuple[int, int]]:
+    """Edge-index pairs i < j in lexicographic order: all of them, or the
+    sample of MAX_PAIRS that seed draws by rank among all C(m, 2)."""
+    if not samples_pairs(g):
+        return list(itertools.combinations(range(g.m), 2))
+    if seed is None:
+        raise InvalidParamsError(f"sampling {MAX_PAIRS} of {math.comb(g.m, 2)} pairs needs a seed")
+    keep = np.random.default_rng(seed).choice(math.comb(g.m, 2), size=MAX_PAIRS, replace=False)
+    pairs, i, start = [], 0, 0  # start: rank of (i, i + 1)
+    for r in sorted(keep.tolist()):
+        while r >= start + g.m - 1 - i:
+            start += g.m - 1 - i
+            i += 1
+        pairs.append((i, i + 1 + r - start))
     return pairs
+
+
+def _deletion_sets(g: Graph, depth: int, seed: int | None) -> list[tuple[int, ...]]:
+    if depth not in (1, 2):
+        raise InvalidParamsError(f"deletion depth must be 1 or 2, got {depth}")
+    if g.m < depth:
+        raise InvalidParamsError(f"need at least {depth} edges, got {g.m}")
+    return [(i,) for i in range(g.m)] if depth == 1 else _deletion_pairs(g, seed)
+
+
+def _deletion_average(g: Graph, gens, sets) -> tuple[float, float, float]:
+    """Mean of the exact measures of g minus each edge-index set in sets, in
+    that order; gens generate Aut(g).
+
+    An automorphism s of g carries g - S onto g - s(S), so the sets of one
+    orbit of Aut(g) share ln|Aut| and the orbit count, and their vertex
+    orbits are the images of each other's. Only the first set met in each
+    orbit is searched. The walk over its orbit stores, for each set reached,
+    its parent and the generator that maps the parent onto it, so the
+    automorphism sigma from the searched set to any other is a product along
+    the path. The entropy sums over the sigma-images of the searched set's
+    orbits, sorted by smallest member as vertex_orbits would list them, so
+    every term, and so the mean, is what searching each set would give.
+    With no generators every set is its own orbit: the walk stops at the set
+    and no sigma is formed.
+    """
+    index = {e: k for k, e in enumerate(g.edges)}
+    acts = [
+        [index[(s[u], s[v]) if s[u] < s[v] else (s[v], s[u])] for u, v in g.edges] for s in gens
+    ]
+    parent = {}  # set -> (parent set, generator index), or None if searched
+    searched = {}  # searched set -> _measures of g minus it
+    total = np.zeros(3)
+    for deleted in sets:
+        if deleted not in parent:
+            h = g.delete_edges([g.edges[k] for k in deleted])
+            searched[deleted] = _measures(h, automorphism_generators(h))
+            parent[deleted] = None
+            walk = [deleted]
+            for x in walk:
+                for k, act in enumerate(acts):
+                    y = tuple(sorted(act[e] for e in x))
+                    if y not in parent:
+                        parent[y] = (x, k)
+                        walk.append(y)
+        x, sigma = deleted, None
+        while parent[x] is not None:
+            x, k = parent[x]
+            sigma = gens[k] if sigma is None else tuple(sigma[v] for v in gens[k])
+        (log_aut, n_orbits, entropy), orbits = searched[x]
+        if sigma is not None:
+            entropy = graph_entropy(sorted(sorted(sigma[v] for v in a) for a in orbits), g.n)
+        total += (log_aut, n_orbits, entropy)
+    mean = total / len(sets)
+    return float(mean[0]), float(mean[1]), float(mean[2])
 
 
 def approx_features(g: Graph, depth: int, seed: int | None = None) -> tuple[float, float, float]:
@@ -92,21 +157,11 @@ def approx_features(g: Graph, depth: int, seed: int | None = None) -> tuple[floa
 
     depth 1 averages over |E| single deletions, depth 2 over C(|E|,2) pairs,
     or over a sample of MAX_PAIRS of them drawn with seed when there are more.
-    Deletions that disconnect the graph are kept as-is.
+    Deletions that disconnect the graph are kept as-is. Deletions that an
+    automorphism of g carries onto each other share one search.
     """
-    if depth not in (1, 2):
-        raise InvalidParamsError(f"deletion depth must be 1 or 2, got {depth}")
-    if g.m < depth:
-        raise InvalidParamsError(f"need at least {depth} edges, got {g.m}")
-    if depth == 1:
-        variants = [[e] for e in g.edges]
-    else:
-        variants = [[g.edges[i], g.edges[j]] for i, j in _deletion_pairs(g, seed)]
-    total = np.zeros(3)
-    for removed in variants:
-        total += exact_features(g.delete_edges(removed))
-    mean = total / len(variants)
-    return float(mean[0]), float(mean[1]), float(mean[2])
+    sets = _deletion_sets(g, depth, seed)
+    return _deletion_average(g, automorphism_generators(g).generators, sets)
 
 
 def feature_vector(g: Graph, seed: int | None = None) -> SymmetryFeatures:
@@ -115,9 +170,11 @@ def feature_vector(g: Graph, seed: int | None = None) -> SymmetryFeatures:
     ignore it."""
     if g.m < 2:
         raise InvalidParamsError(f"feature vector needs at least 2 edges, got {g.m}")
-    log_aut, n_orbits, entropy = exact_features(g)
-    a1 = approx_features(g, 1)
-    a2 = approx_features(g, 2, seed)
+    pairs = _deletion_sets(g, 2, seed)  # a missing seed raises before any search
+    grp = automorphism_generators(g)
+    (log_aut, n_orbits, entropy), _ = _measures(g, grp)
+    a1 = _deletion_average(g, grp.generators, _deletion_sets(g, 1, None))
+    a2 = _deletion_average(g, grp.generators, pairs)
     return SymmetryFeatures(
         log_aut=log_aut,
         avg_log_aut_1=a1[0],

@@ -168,6 +168,32 @@ def burnside_fixed_counts(grp, flip: bool) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def deletion_pairs(m, cap, seed) -> list[tuple[int, int]]:
+    """Every edge-index pair (i, j), i < j, listed in full; above cap pairs, a
+    seeded sample of cap of them, kept in list order."""
+    pairs = list(itertools.combinations(range(m), 2))
+    if len(pairs) > cap:
+        keep = np.random.default_rng(seed).choice(len(pairs), size=cap, replace=False)
+        pairs = [pairs[i] for i in sorted(keep)]
+    return pairs
+
+
+def deletion_average_each(g, depth, seed, cap, exact) -> tuple[float, float, float]:
+    """Mean of exact(g minus S) over the single edges S of g (depth 1) or the
+    deletion_pairs (depth 2), one deletion at a time, each searched on its
+    own. exact is the one-graph measure, passed in so that nothing here
+    imports the package."""
+    if depth == 1:
+        variants = [[e] for e in g.edges]
+    else:
+        variants = [[g.edges[i], g.edges[j]] for i, j in deletion_pairs(len(g.edges), cap, seed)]
+    total = np.zeros(3)
+    for removed in variants:
+        total += exact(g.delete_edges(removed))
+    mean = total / len(variants)
+    return float(mean[0]), float(mean[1]), float(mean[2])
+
+
 def ridge_fit_predict(x_train, y_train, x_query, gamma, lam):
     """Kernel ridge with an RBF kernel, solved by explicit matrix inverse."""
     x_train = np.asarray(x_train, dtype=float)

@@ -1,11 +1,16 @@
-"""Symmetry feature tests against hand-computed closed forms."""
+"""Symmetry feature tests against hand-computed closed forms, the cached
+dataset and the one-search-per-deletion oracle."""
 
+import itertools
 import math
 import random
 
 import pytest
 
+import oracles
+from acceptance_profile import DATASET_PATH
 from symqaoa import features
+from symqaoa.dataset import load_dataset
 from symqaoa.errors import InvalidParamsError
 from symqaoa.features import (
     FEATURE_NAMES,
@@ -142,14 +147,93 @@ def test_subsample_requires_seed(monkeypatch):
     # K14 has C(91, 2) = 4,095 two-edge pairs, above the real cap; K11 has 1,485
     assert features.samples_pairs(complete(14)) and not features.samples_pairs(complete(11))
 
-    def no_deletions(h):
-        raise AssertionError("a deletion was computed before the seed check")
+    def no_search(h):
+        raise AssertionError("a group was searched before the seed check")
 
-    monkeypatch.setattr(features, "exact_features", no_deletions)
+    monkeypatch.setattr(features, "automorphism_generators", no_search)
     for g, cap in ((complete(14), features.MAX_PAIRS), (named("petersen"), 40)):
         monkeypatch.setattr(features, "MAX_PAIRS", cap)
         with pytest.raises(InvalidParamsError, match="needs a seed"):
             approx_features(g, 2)
+        with pytest.raises(InvalidParamsError, match="needs a seed"):
+            feature_vector(g)
+
+
+def test_pair_sample_unranks_the_listed_sample(monkeypatch):
+    # the sampled ranks index the lexicographic list of all C(m, 2) pairs
+    k14 = complete(14)
+    for seed in (5, 6, 7):
+        assert features._deletion_pairs(k14, seed) == oracles.deletion_pairs(
+            k14.m, features.MAX_PAIRS, seed
+        )
+    petersen = named("petersen")
+    monkeypatch.setattr(features, "MAX_PAIRS", 40)
+    for seed in (5, 6):
+        assert features._deletion_pairs(petersen, seed) == oracles.deletion_pairs(15, 40, seed)
+
+
+def cached_records():
+    return {rec.id: rec for rec in load_dataset(DATASET_PATH)}
+
+
+@pytest.mark.parametrize(
+    "iid, searches",
+    [
+        ("complete-n9", 4),  # G, one edge orbit, adjacent and disjoint pairs
+        ("star-n14", 3),
+        ("hand-picked-heawood", 5),
+        ("wheel-n13", 21),
+        ("trivial-aut-k3-n12-s701", 1 + 18 + 153),  # every deletion its own orbit
+    ],
+)
+def test_one_search_per_orbit_of_deletions(monkeypatch, iid, searches):
+    rec = cached_records()[iid]
+    calls = []
+    search = features.automorphism_generators
+
+    def counting(h):
+        calls.append(h)
+        return search(h)
+
+    monkeypatch.setattr(features, "automorphism_generators", counting)
+    feature_vector(rec.graph(), rec.feature_seed)
+    assert len(calls) == searches
+
+
+def test_cached_feature_vectors_recompute_exactly():
+    records = cached_records()
+    assert len(records) == 130
+    for iid, rec in records.items():
+        fv = feature_vector(rec.graph(), rec.feature_seed)
+        assert tuple(float(v) for v in fv.as_array()) == rec.features, iid
+
+
+# Graphs in which two deletions of one orbit of Aut(G) list the same orbit
+# sizes in different orders (such as 2, 2, 2, 3), so that their entropies
+# differ in the last bit; the shared search must keep each deletion's order.
+ORDER_SENSITIVE = [
+    (11, [(0, 6), (1, 10), (2, 5), (2, 10), (3, 5), (3, 10), (4, 6), (5, 7)]),
+    (10, [(0, 5), (1, 8), (1, 9), (2, 6), (4, 7), (6, 8), (7, 9)]),
+    (10, [(0, 3), (0, 4), (1, 4), (1, 7), (2, 3), (3, 5), (3, 7), (4, 8), (4, 9)]),
+    (10, [(0, 4), (0, 5), (0, 7), (0, 8), (1, 6), (2, 5), (2, 9), (3, 6), (4, 5), (4, 7),
+          (4, 8), (5, 7), (5, 8), (7, 8)]),
+]
+
+
+@pytest.mark.parametrize("n, edges", ORDER_SENSITIVE)
+def test_orbit_images_keep_each_deletions_summation_order(n, edges):
+    g = Graph.from_edges(n, edges)
+    entropies = {exact_features(g.delete_edges(list(s)))[2]
+                 for depth in (1, 2) for s in itertools.combinations(g.edges, depth)}
+    assert any(0 < abs(a - b) < 1e-12 for a in entropies for b in entropies)
+    rng = random.Random(11)
+    for _ in range(4):
+        for depth in (1, 2):
+            want = oracles.deletion_average_each(g, depth, None, features.MAX_PAIRS, exact_features)
+            assert approx_features(g, depth) == want
+        relab = list(range(n))
+        rng.shuffle(relab)
+        g = Graph.from_edges(n, [(relab[u], relab[v]) for u, v in edges])
 
 
 def test_feature_vector_needs_two_edges():

@@ -2,13 +2,15 @@
 against the one-element-at-a-time oracles, on random generator sets and on
 the automorphism groups of random graphs, n <= 8, with the flip on and off;
 the searched group against a brute-force scan, n <= 6; relabelling
-invariance of the group order and the features; the reduced
-engine against the full one; and the model-file, record-line and edge-list
+invariance of the group order and the features; the orbit-shared
+deletion averages against one search per deletion; the reduced engine
+against the full one; and the model-file, record-line and edge-list
 parsers on damaged input, which they must reject with ParseError alone."""
 
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,12 +19,13 @@ from hypothesis import strategies as st
 
 import oracles
 from acceptance_profile import DATASET_PATH
+from symqaoa import features
 from symqaoa.autgroup import PermGroup, automorphism_generators, bitstring_orbits, iter_elements
 from symqaoa.cli import main
 from symqaoa.dataset import parse_record
 from symqaoa.errors import ParseError
-from symqaoa.features import FEATURE_NAMES, approx_features, exact_features
-from symqaoa.graphs import Graph, read_edge_list
+from symqaoa.features import FEATURE_NAMES, approx_features, exact_features, feature_vector
+from symqaoa.graphs import Graph, read_edge_list, trivial_aut_graph
 from symqaoa.mlmodel import (
     PminPredictor,
     Standardizer,
@@ -94,6 +97,31 @@ def test_relabelling_keeps_group_order_and_features(g, data):
     assert entropy_h == pytest.approx(entropy_g, abs=1e-12)
     if g.m:
         assert approx_features(h, 1) == pytest.approx(approx_features(g, 1), abs=1e-12)
+
+
+# cubic graphs on 12 vertices whose automorphism group is trivial
+TRIVIAL_GROUP_GRAPHS = st.integers(0, 3).map(lambda seed: trivial_aut_graph(12, 3, seed=seed))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(g=st.one_of(graphs(), TRIVIAL_GROUP_GRAPHS), data=st.data())
+def test_deletion_averages_match_one_search_per_deletion(g, data):
+    # relabelled, and with the pair cap lowered so that a sample is drawn too
+    perm = data.draw(st.permutations(range(g.n)))
+    h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    cap = data.draw(st.sampled_from([features.MAX_PAIRS, 30, 6]))
+    seed = data.draw(st.integers(0, 2**32))
+    with mock.patch.object(features, "MAX_PAIRS", cap):
+        want = [
+            oracles.deletion_average_each(h, depth, seed, cap, exact_features)
+            for depth in (1, 2)
+            if h.m >= depth
+        ]
+        assert [approx_features(h, depth, seed) for depth in (1, 2)[: len(want)]] == want
+        if h.m >= 2:
+            fv = feature_vector(h, seed)
+            assert (fv.avg_log_aut_1, fv.avg_orbits_1, fv.avg_entropy_1) == want[0]
+            assert (fv.avg_log_aut_2, fv.avg_orbits_2, fv.avg_entropy_2) == want[1]
 
 
 ANGLES = st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
