@@ -71,10 +71,23 @@ class LinearSchedule:
 def layer_angles(p: int, params) -> tuple:
     """Per-layer (betas, gammas) of the linear schedule whose endpoints are
     params = (beta_start, beta_end, gamma_start, gamma_end); p = 1 uses the
-    start values alone."""
+    start values alone. For p >= 2 each list is np.linspace(start, end, p) bit
+    for bit, from numpy's own formula in Python floats (no arrays to build)."""
     if p == 1:
         return params[0:1], params[2:3]
-    return np.linspace(params[0], params[1], p), np.linspace(params[2], params[3], p)
+    return _linspace(params[0], params[1], p), _linspace(params[2], params[3], p)
+
+
+def _linspace(start, stop, p: int) -> list[float]:
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    step = delta / (p - 1)
+    if step == 0:  # numpy's path for a step that underflows to zero
+        out = [k / (p - 1) * delta + start for k in range(p)]
+    else:
+        out = [k * step + start for k in range(p)]
+    out[-1] = stop
+    return out
 
 
 def max_cut_brute(g: Graph) -> int:

@@ -283,3 +283,16 @@ def strided_expectation(values, betas, gammas) -> float:
     """<f> of strided_evolve, as one dot product over all 2^n probabilities."""
     amps = strided_evolve(values, betas, gammas)
     return float((amps.real**2 + amps.imag**2) @ np.asarray(values, dtype=np.float64))
+
+
+def reduced_evolve(w, v, values, init, betas, gammas) -> np.ndarray:
+    """Reduced amplitudes by the plain per-layer formula: the phase exp(-i
+    gamma values) on every entry, then V exp(-i beta w) V^T with the real
+    eigenvectors V of the mixer (w, v = np.linalg.eigh(mixer)), each product
+    casting V to complex as it goes. The package engine must match it bit for
+    bit."""
+    amps = np.asarray(init, dtype=np.float64).astype(np.complex128)
+    for beta, gamma in zip(betas, gammas):
+        amps *= np.exp(-1j * gamma * values)
+        amps = v @ (np.exp(-1j * beta * w) * (v.T @ amps))
+    return amps

@@ -4,9 +4,11 @@ the automorphism groups of random graphs, n <= 8, with the flip on and off;
 the searched group against a brute-force scan, n <= 6; relabelling
 invariance of the group order and the features; the orbit-shared
 deletion averages against one search per deletion; the reduced engine
-against the full one; and the model-file, record-line and edge-list
-parsers on damaged input, which they must reject with ParseError alone."""
+against the full one; the model-file, record-line and edge-list parsers
+on damaged input, which they must reject with ParseError alone; and the
+schedule's layer angles against np.linspace, bit for bit."""
 
+import itertools
 import json
 import math
 import warnings
@@ -41,6 +43,7 @@ from symqaoa.reduced import (
     quotient_dimension,
     reduce_operators,
 )
+from symqaoa.schedules import BETA_MAX, DEPTH_CAP, GAMMA_MAX, layer_angles
 from symqaoa.simulator import Angles, Engine, maxcut_diagonal, orbit_spread
 
 N_MAX = 8
@@ -257,3 +260,38 @@ def test_retyped_record_fields_raise_parse_error(data):
     # only a null field (graph_seed, feature_seed, seconds) takes another
     # type, a number
     assert was is None and json_kind(record[field]) == "number"
+
+
+# box corners, signed zeros, subnormals (a step that underflows to zero takes
+# numpy's other formula) and plain floats
+ENDPOINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, BETA_MAX, GAMMA_MAX, 5e-324, -5e-324, 1e-310]),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-10.0, 10.0),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    p=st.one_of(st.integers(2, 12), st.integers(2, DEPTH_CAP), st.just(DEPTH_CAP)),
+    ends=st.lists(ENDPOINTS, min_size=4, max_size=4),
+    equal=st.booleans(),
+)
+def test_layer_angles_match_linspace_bit_for_bit(p, ends, equal):
+    if equal:
+        ends[1], ends[3] = ends[0], ends[2]
+    betas, gammas = layer_angles(p, np.array(ends))
+    for got, (start, stop) in ((betas, ends[:2]), (gammas, ends[2:])):
+        want = np.linspace(start, stop, p)
+        # int64 views compare every bit, signs of zero included
+        assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
+
+
+def test_layer_angles_at_the_box_corners():
+    box = itertools.product((0.0, BETA_MAX), (0.0, BETA_MAX), (0.0, GAMMA_MAX), (0.0, GAMMA_MAX))
+    for ends in box:
+        for p in (2, 3, 7, DEPTH_CAP):
+            betas, gammas = layer_angles(p, ends)
+            for got, (start, stop) in ((betas, ends[:2]), (gammas, ends[2:])):
+                want = np.linspace(start, stop, p)
+                assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))

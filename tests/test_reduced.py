@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 import oracles
+from acceptance_profile import DATASET_PATH
 from symqaoa.autgroup import PermGroup
+from symqaoa.dataset import load_dataset
 from symqaoa.errors import InvalidParamsError, NotInvariantError, SizeLimitError
 from symqaoa.graphs import Graph, complete, cycle, ladder, named, random_regular, wheel
 from symqaoa.reduced import (
     BitstringGroup,
     ReducedEngine,
+    ReducedOperators,
     build_orbit_basis,
     hamming_reduced_ops,
     quotient_dimension,
@@ -20,6 +23,7 @@ from symqaoa.reduced import (
     lift,
     symmetry_group,
 )
+from symqaoa.schedules import BETA_MAX, GAMMA_MAX, make_engine
 from symqaoa.simulator import Angles, Engine, maxcut_diagonal
 
 
@@ -125,6 +129,57 @@ def test_reduced_engine_preserves_norm():
         a = random_angles(rng, 4)
         amps = eng.run(a.betas, a.gammas)
         assert np.vdot(amps, amps).real == pytest.approx(1.0, abs=1e-12)
+
+
+# the label-sym benchmark instances, and the three largest orbit bases
+ENGINE_IDS = (
+    "complete-n3", "cycle-n4", "star-n4", "wheel-n6", "antiprism-k3", "circular-ladder-k3",
+    "hand-picked-petersen", "hand-picked-icosahedron", "hand-picked-heawood", "wheel-n10",
+    "cycle-n12", "circular-ladder-k6", "cycle-n14", "grid2d-cols4-rows3",
+    "random-regular-k5-n10-s502",
+)
+
+
+def _assert_matches_layer_oracle(ops, p_max, rng):
+    eng = ReducedEngine(ops)
+    w, v = np.linalg.eigh(ops.mixer)
+    for _ in range(20):
+        p = rng.randint(1, p_max)
+        betas = [rng.uniform(0.0, BETA_MAX) for _ in range(p)]
+        gammas = [rng.uniform(0.0, GAMMA_MAX) for _ in range(p)]
+        got = eng.run(betas, gammas)
+        want = oracles.reduced_evolve(w, v, ops.cost_diag, ops.init, betas, gammas)
+        # int64 views compare every bit, signs of zero included
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        probs = want.real**2 + want.imag**2
+        assert eng.expectation(betas, gammas) == float(probs @ ops.cost_diag)
+
+
+def test_reduced_engine_bit_identical_to_layer_oracle():
+    # the complex operands built once, and the phase gathered from one exp per
+    # cost level, must round exactly as the per-layer casts and exps did
+    records = {rec.id: rec for rec in load_dataset(DATASET_PATH)}
+    rng = random.Random(1606)
+    dims = set()
+    for iid in ENGINE_IDS:
+        rec = records[iid]
+        eng = make_engine(rec.graph())
+        assert isinstance(eng, ReducedEngine)
+        dims.add(eng.ops.dim)
+        _assert_matches_layer_oracle(eng.ops, rec.p_min or 20, rng)
+    assert min(dims) == 4 and max(dims) == 576
+    for n in range(1, 21):
+        _assert_matches_layer_oracle(hamming_reduced_ops(n), 12, rng)
+    np_rng = np.random.default_rng(16)
+    for _ in range(30):
+        d = rng.randint(1, 60)
+        mixer = np_rng.normal(size=(d, d))
+        # float costs with repeated levels, so the gather takes each level many times
+        levels = np_rng.normal(size=rng.randint(1, d))
+        values = levels[np_rng.integers(0, len(levels), size=d)]
+        init = np_rng.normal(size=d)
+        ops = ReducedOperators(values, mixer + mixer.T, init / np.linalg.norm(init))
+        _assert_matches_layer_oracle(ops, 12, rng)
 
 
 def test_engines_reject_unequal_angle_lists():
