@@ -1,6 +1,6 @@
-"""Graph automorphisms: color refinement, individualization-refinement search,
-a Schreier-Sims stabilizer chain for exact group order, and orbit machinery on
-vertices and bitstrings.
+"""Graph automorphisms: color refinement, an individualization-refinement
+search that returns a base and a strong generating set (hence the exact group
+order and every element), and orbit machinery on vertices and bitstrings.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 from .errors import InvalidParamsError, SearchBudgetError, SizeLimitError
 from .graphs import Graph
 
-DEGREE_CAP = 255  # largest degree of the stabilizer chain and the automorphism search
+DEGREE_CAP = 255  # largest degree of the 256-byte permutation tables and the automorphism search
 BITSTRING_N_CAP = 20  # largest n whose 2^n bitstring index tables are built
 ENUMERATION_CAP = 8 * 10**6  # largest group order iter_element_blocks enumerates by default
 SEARCH_NODE_CAP = 10**7  # search-tree nodes automorphism_generators visits before giving up
@@ -82,38 +82,54 @@ def color_refine(g: Graph, init: tuple[int, ...] | None = None) -> tuple[int, ..
 
 @dataclass
 class PermGroup:
-    """A permutation group given by generators; order and membership use a lazily
-    built stabilizer chain.
+    """A permutation group given by a base and a strong generating set for it:
+    for every d, the generators that fix base[:d] pointwise generate the
+    pointwise stabilizer of base[:d], and only the identity fixes every base
+    point.
+
+    Level d is the orbit transversal of base[d] under the generators fixing
+    base[:d]; levels of size 1 are dropped. The order is the product of the
+    level sizes, and every element is one product of one representative per
+    level (iter_element_blocks).
     """
 
     n: int
     generators: tuple[Perm, ...]
-    _chain: "_StabilizerChain | None" = field(default=None, repr=False, compare=False)
+    base: tuple[int, ...] = ()
+    levels: tuple[dict[int, bytes], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n > DEGREE_CAP:
+            raise SizeLimitError(f"permutation tables support degree <= {DEGREE_CAP}, got {self.n}")
         self.generators = tuple(tuple(g) for g in self.generators)
+        self.base = tuple(self.base)
         for g in self.generators:
             if sorted(g) != list(range(self.n)):
                 raise InvalidParamsError(f"generator {g} is not a permutation of 0..{self.n - 1}")
-
-    def chain(self) -> "_StabilizerChain":
-        if self._chain is None:
-            self._chain = _StabilizerChain(self.n, self.generators)
-        return self._chain
+        if len(set(self.base)) != len(self.base) or not set(self.base) <= set(range(self.n)):
+            raise InvalidParamsError(f"base {self.base} is not distinct points of 0..{self.n - 1}")
+        gens = [t for t in dict.fromkeys(map(_as_table, self.generators)) if t != _IDENT256]
+        levels = []
+        for point in self.base:
+            level = _orbit_transversal(gens, point)
+            if len(level) > 1:
+                levels.append(level)
+            # the generators fixing base[:d + 1] are those of level d that fix base[d]
+            gens = [s for s in gens if s[point] == point]
+        if gens:
+            raise InvalidParamsError(f"generator {tuple(gens[0][: self.n])} fixes every base point")
+        self.levels = tuple(levels)
 
     def order(self) -> int:
         """Exact |<generators>| as an arbitrary-precision integer."""
-        return self.chain().order()
-
-    def contains(self, perm: Perm) -> bool:
-        if len(perm) != self.n:
-            return False
-        residue, _ = self.chain().sift(tuple(perm))
-        return residue == identity_perm(self.n)
+        total = 1
+        for level in self.levels:
+            total *= len(level)
+        return total
 
 
-# Chain internals store permutations as 256-byte translate tables with an
-# identity tail: compose(a, b) is then b.translate(a), a single C call, and the
+# Levels store permutations as 256-byte translate tables with an identity
+# tail: compose(a, b) is then b.translate(a), a single C call, and the
 # identity-tail padding is closed under composition. Degree is capped at DEGREE_CAP.
 _IDENT256 = bytes(range(256))
 
@@ -122,97 +138,9 @@ def _as_table(perm) -> bytes:
     return bytes(perm) + _IDENT256[len(perm):]
 
 
-_ARANGE256 = np.arange(256, dtype=np.uint8)
-
-
-def _inv_table(a: bytes) -> bytes:
-    inv = np.empty(256, dtype=np.uint8)
-    inv[np.frombuffer(a, dtype=np.uint8)] = _ARANGE256
-    return inv.tobytes()
-
-
-class _StabilizerChain:
-    """Deterministic incremental Schreier-Sims.
-
-    Level i stores generators fixing base[:i] pointwise and the transversal of
-    base[i] under them. _complete(i) sifts every (deduplicated) Schreier
-    generator of level i through the lower chain, pushing residues down and
-    repairing deepest-first, which keeps the level-i orbit frozen during its
-    own scan.
-    """
-
-    def __init__(self, n: int, generators):
-        if n > DEGREE_CAP:
-            raise SizeLimitError(f"stabilizer chain supports degree <= {DEGREE_CAP}, got {n}")
-        self.n = n
-        self.base: list[int] = []
-        self.sgens: list[list[bytes]] = []
-        self.trans: list[dict[int, bytes]] = []
-        self.trans_inv: list[dict[int, bytes]] = []
-        self._inv_cache: dict[bytes, bytes] = {}
-        gens = [t for t in dict.fromkeys(_as_table(g) for g in generators) if t != _IDENT256]
-        if gens:
-            b0 = min(i for g in gens for i in range(n) if g[i] != i)
-            self.base.append(b0)
-            self.sgens.append(gens)
-            self.trans.append({})
-            self.trans_inv.append({})
-            self._complete(0)
-
-    def order(self) -> int:
-        total = 1
-        for t in self.trans:
-            total *= len(t)
-        return total
-
-    def sift(self, g: Perm) -> tuple[Perm, int]:
-        residue, level = self._strip(_as_table(g), 0)
-        return tuple(residue[: self.n]), level
-
-    def _strip(self, g: bytes, start: int) -> tuple[bytes, int]:
-        for level in range(start, len(self.base)):
-            x = g[self.base[level]]
-            rep_inv = self.trans_inv[level].get(x)
-            if rep_inv is None:
-                return g, level
-            g = g.translate(rep_inv)
-        return g, len(self.base)
-
-    def _complete(self, i: int) -> None:
-        gens_i = self.sgens[i]
-        orbit = _orbit_transversal(gens_i, self.base[i])
-        self.trans[i] = orbit
-        cache = self._inv_cache
-        for u in orbit.values():
-            if u not in cache:
-                cache[u] = _inv_table(u)
-        inv_at = {x: cache[u] for x, u in orbit.items()}
-        self.trans_inv[i] = inv_at
-        seen: set[bytes] = set()
-        for x in sorted(orbit):
-            ux = orbit[x]
-            for s in gens_i:
-                sg = ux.translate(s).translate(inv_at[s[x]])
-                if sg == _IDENT256 or sg in seen:
-                    continue
-                seen.add(sg)
-                residue, j = self._strip(sg, i + 1)
-                if residue == _IDENT256:
-                    continue
-                if j == len(self.base):
-                    self.base.append(min(k for k in range(self.n) if residue[k] != k))
-                    self.sgens.append([])
-                    self.trans.append({})
-                    self.trans_inv.append({})
-                for level in range(i + 1, j + 1):
-                    self.sgens[level].append(residue)
-                for level in range(j, i, -1):
-                    self._complete(level)
-                # sgens[i] is untouched, so the level-i orbit and the already
-                # verified Schreier generators remain valid; keep scanning.
-
-
 def _orbit_transversal(gens: list[bytes], point: int) -> dict[int, bytes]:
+    """Each point of the orbit of point under gens, mapped to a table that
+    takes point to it; point itself first, with the identity."""
     reps = {point: _IDENT256}
     queue = deque([point])
     while queue:
@@ -237,8 +165,15 @@ def automorphism_generators(g: Graph) -> PermGroup:
     redundant; (c) after a leaf yields an automorphism, the search backjumps to
     the deepest ancestor shared with the reference path.
 
+    The reference path is a base, and the orbit-pruned generators are a
+    strong generating set for it: at each node of that path every child in
+    the orbit of the path's child under the stabilizer of the prefix is
+    either pruned by a generator fixing the prefix or yields one. The group
+    is returned with that base, which gives its order and its elements with
+    no further group computation.
+
     A graph above DEGREE_CAP vertices raises SizeLimitError before the
-    search, as the stabilizer chain of its group would.
+    search, as the permutation tables of its group would.
     """
     n = g.n
     if n < 1:
@@ -311,7 +246,7 @@ def automorphism_generators(g: Graph) -> PermGroup:
     search(_refine(adj, (0,) * n), 0, [])
     if len(gens) > n * n:
         raise SearchBudgetError(f"generator count {len(gens)} exceeds {n * n}")
-    return PermGroup(n, tuple(gens))
+    return PermGroup(n, tuple(gens), tuple(ref_prefix))
 
 
 def _orbit(gens, seeds) -> set[int]:
@@ -426,21 +361,21 @@ def iter_element_blocks(grp: PermGroup, cap: int = ENUMERATION_CAP):
     """Yield every group element exactly once, as uint8 blocks of shape (m, n)
     whose rows are image tables.
 
-    Elements are products u_0 u_1 ... u_k of stabilizer-chain coset
-    representatives, level 0 varying fastest and the deepest level slowest,
-    so each comes out once with no dedup set. The shallow levels are expanded
+    Elements are products u_0 u_1 ... u_k of one transversal representative
+    per level of grp (the coset representatives of the stabilizer of each
+    base prefix), level 0 varying fastest and the deepest level slowest, so
+    each comes out once with no dedup set. The shallow levels are expanded
     into one inner table of at most _BLOCK_ROWS rows; each product s of the
     deep levels then gives the block inner[:, s]. Raises before yielding
     anything if the order exceeds cap.
     """
-    chain = grp.chain()
-    order = chain.order()
+    order = grp.order()
     if order > cap:
         raise SizeLimitError(f"group order {order} exceeds enumeration cap {cap}")
     n = grp.n
     reps = [
         np.frombuffer(b"".join(t.values()), dtype=np.uint8).reshape(-1, 256)[:, :n]
-        for t in chain.trans
+        for t in grp.levels
     ]
     inner = np.arange(n, dtype=np.uint8)[None, :]
     split = 0

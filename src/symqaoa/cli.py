@@ -279,7 +279,7 @@ def cmd_reduce(args) -> int:
     g = read_edge_list(args.graph)
     data = {}
     lines = []
-    perm_group = automorphism_generators(g)  # one search; both groups share its chain
+    perm_group = automorphism_generators(g)  # both groups share one search
     for flip in (False, True):
         qc = quotient_dimension(BitstringGroup(perm_group, flip))
         key = "flip_on" if flip else "flip_off"

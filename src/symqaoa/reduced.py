@@ -57,9 +57,9 @@ class QuotientCount:
 
 
 def _burnside_tally(grp: BitstringGroup) -> tuple[tuple[int, ...], int]:
-    """Fixed bitstrings of every element, the bit permutations in chain order
-    and then, with the flip, each of them composed with the flip; and their
-    exact sum.
+    """Fixed bitstrings of every element, the bit permutations in the order of
+    iter_element_blocks and then, with the flip, each of them composed with
+    the flip; and their exact sum.
 
     A permutation with c cycles fixes 2^c strings. Composed with the flip, an
     odd cycle forces a bit to differ from itself, so it fixes none unless all

@@ -103,15 +103,11 @@ def max_cut_brute(g: Graph) -> int:
     return best
 
 
-def _is_complete(g: Graph) -> bool:
-    return g.n >= 2 and g.m == g.n * (g.n - 1) // 2
-
-
 def make_engine(g: Graph):
     """Cheapest exact evaluator for a graph: the Hamming ladder for complete
     graphs, a generic orbit basis when it is small enough, else the full
     statevector."""
-    if _is_complete(g):
+    if g.n >= 2 and g.m == g.n * (g.n - 1) // 2:  # complete
         return ReducedEngine(hamming_reduced_ops(g.n))
     if g.n <= GENERIC_N_CAP:
         basis = build_orbit_basis(g, include_flip=True)

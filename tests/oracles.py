@@ -139,12 +139,132 @@ def fixed_bitstring_count(perm, flipped: bool = False) -> int:
     return 1 << len(cycles)
 
 
+# The Schreier-Sims oracle stores permutations as 256-byte translate tables
+# with an identity tail: compose(a, b) is then b.translate(a), and the padding
+# is closed under composition.
+_IDENT256 = bytes(range(256))
+
+
+def _as_table(perm) -> bytes:
+    return bytes(perm) + _IDENT256[len(perm):]
+
+
+def _inv_table(a: bytes) -> bytes:
+    inv = np.empty(256, dtype=np.uint8)
+    inv[np.frombuffer(a, dtype=np.uint8)] = np.arange(256, dtype=np.uint8)
+    return inv.tobytes()
+
+
+def _orbit_transversal(gens, point) -> dict[int, bytes]:
+    """Each point of the orbit of point under gens, mapped to a table that
+    takes point to it, in breadth-first order."""
+    reps = {point: _IDENT256}
+    queue = [point]
+    for x in queue:
+        for s in gens:
+            y = s[x]
+            if y not in reps:
+                reps[y] = reps[x].translate(s)
+                queue.append(y)
+    return reps
+
+
+class StabilizerChain:
+    """Deterministic incremental Schreier-Sims, from arbitrary generators.
+
+    Level i stores generators fixing base[:i] pointwise and the transversal of
+    base[i] under them. _complete(i) sifts every (deduplicated) Schreier
+    generator of level i through the lower chain, pushing residues down and
+    repairing deepest-first, which keeps the level-i orbit frozen during its
+    own scan.
+    """
+
+    def __init__(self, n: int, generators):
+        self.n = n
+        self.base: list[int] = []
+        self.sgens: list[list[bytes]] = []
+        self.trans: list[dict[int, bytes]] = []
+        self.trans_inv: list[dict[int, bytes]] = []
+        self._inv_cache: dict[bytes, bytes] = {}
+        gens = [t for t in dict.fromkeys(_as_table(g) for g in generators) if t != _IDENT256]
+        if gens:
+            b0 = min(i for g in gens for i in range(n) if g[i] != i)
+            self.base.append(b0)
+            self.sgens.append(gens)
+            self.trans.append({})
+            self.trans_inv.append({})
+            self._complete(0)
+
+    def order(self) -> int:
+        return math.prod(len(t) for t in self.trans)
+
+    def strong_generators(self) -> tuple[tuple[int, ...], ...]:
+        """Every level's generators, once each, as tuples of degree n."""
+        tables = dict.fromkeys(t for level in self.sgens for t in level)
+        return tuple(tuple(t[: self.n]) for t in tables)
+
+    def contains(self, perm) -> bool:
+        if len(perm) != self.n:
+            return False
+        residue, _ = self._strip(_as_table(perm), 0)
+        return residue == _IDENT256
+
+    def _strip(self, g: bytes, start: int) -> tuple[bytes, int]:
+        for level in range(start, len(self.base)):
+            x = g[self.base[level]]
+            rep_inv = self.trans_inv[level].get(x)
+            if rep_inv is None:
+                return g, level
+            g = g.translate(rep_inv)
+        return g, len(self.base)
+
+    def _complete(self, i: int) -> None:
+        gens_i = self.sgens[i]
+        orbit = _orbit_transversal(gens_i, self.base[i])
+        self.trans[i] = orbit
+        cache = self._inv_cache
+        for u in orbit.values():
+            if u not in cache:
+                cache[u] = _inv_table(u)
+        inv_at = {x: cache[u] for x, u in orbit.items()}
+        self.trans_inv[i] = inv_at
+        seen: set[bytes] = set()
+        for x in sorted(orbit):
+            ux = orbit[x]
+            for s in gens_i:
+                sg = ux.translate(s).translate(inv_at[s[x]])
+                if sg == _IDENT256 or sg in seen:
+                    continue
+                seen.add(sg)
+                residue, j = self._strip(sg, i + 1)
+                if residue == _IDENT256:
+                    continue
+                if j == len(self.base):
+                    self.base.append(min(k for k in range(self.n) if residue[k] != k))
+                    self.sgens.append([])
+                    self.trans.append({})
+                    self.trans_inv.append({})
+                for level in range(i + 1, j + 1):
+                    self.sgens[level].append(residue)
+                for level in range(j, i, -1):
+                    self._complete(level)
+                # sgens[i] is untouched, so the level-i orbit and the already
+                # verified Schreier generators remain valid; keep scanning.
+
+
+def schreier_sims(n, gens) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """A base of the group generated by gens and a strong generating set
+    relative to it."""
+    chain = StabilizerChain(n, gens)
+    return tuple(chain.base), chain.strong_generators()
+
+
 def chain_product_elements(grp) -> list[tuple[int, ...]]:
     """Every element of a permutation group, one at a time: the products of
-    its stabilizer-chain coset representatives (256-byte translate tables from
-    grp.chain().trans), level 0 varying fastest and the deepest level slowest.
+    one transversal representative per level (256-byte translate tables from
+    grp.levels), level 0 varying fastest and the deepest level slowest.
     """
-    reps = [list(t.values()) for t in grp.chain().trans]
+    reps = [list(t.values()) for t in grp.levels]
 
     def products(level: int):
         if level == len(reps):

@@ -27,6 +27,7 @@ from symqaoa.autgroup import (
     vertex_orbits,
 )
 from symqaoa.errors import InvalidParamsError, SizeLimitError
+from symqaoa.features import exact_features
 from symqaoa.graphs import (
     Graph,
     complete,
@@ -42,11 +43,13 @@ from symqaoa.graphs import (
 
 
 def sym_group(n: int) -> PermGroup:
-    """S_n from a transposition and an n-cycle."""
+    """S_n from a transposition and an n-cycle, with the base and strong
+    generating set of the Schreier-Sims oracle."""
     swap = list(range(n))
     swap[0], swap[1] = swap[1], swap[0]
     rot = tuple(list(range(1, n)) + [0])
-    return PermGroup(n, (tuple(swap), rot))
+    base, strong = oracles.schreier_sims(n, (tuple(swap), rot))
+    return PermGroup(n, strong, base)
 
 
 def test_perm_basics():
@@ -129,11 +132,11 @@ def test_search_matches_brute_force_on_random_graphs():
 
 def test_contains_and_chain_order():
     grp = automorphism_generators(named("petersen"))
-    chain = grp.chain()
+    chain = oracles.StabilizerChain(grp.n, grp.generators)
     assert chain.order() == 120
     for perm in list(iter_elements(grp)):
-        assert grp.contains(perm)
-    assert not grp.contains(tuple([1, 0] + list(range(2, 10))))
+        assert chain.contains(perm)
+    assert not chain.contains(tuple([1, 0] + list(range(2, 10))))
 
 
 def test_iter_elements_matches_enumerate():
@@ -233,7 +236,7 @@ def test_iter_elements_default_cap():
 
 
 def test_search_refuses_more_than_255_vertices():
-    # the stabilizer chain holds degree <= 255, so the search does not start
+    # the permutation tables hold degree <= 255, so the search does not start
     path = lambda n: Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
     reversal = tuple(range(254, -1, -1))
     assert automorphism_generators(path(255)).generators == (reversal,)
@@ -263,6 +266,33 @@ def test_generators_validate():
         PermGroup(3, ((0, 1),))
     with pytest.raises(InvalidParamsError):
         PermGroup(3, ((0, 0, 1),))
+
+
+def test_base_must_be_moved_by_every_non_identity_generator():
+    swap = (1, 0, 2, 3)
+    # with no base, or with a base that swap fixes pointwise, the levels would
+    # describe the trivial group
+    for base in ((), (2,), (3, 2)):
+        with pytest.raises(InvalidParamsError, match="fixes every base point"):
+            PermGroup(4, (swap,), base)
+    for base in ((0, 0), (4,), (-1,)):
+        with pytest.raises(InvalidParamsError, match="base"):
+            PermGroup(4, (swap,), base)
+    assert PermGroup(4, (swap, identity_perm(4)), (2, 1)).order() == 2
+    assert PermGroup(4, (), (0, 1)).order() == 1
+
+
+def test_large_group_order_from_the_search_base():
+    # 57 isolated vertices and a two-edge path: the base runs through the
+    # isolated vertices one at a time, so the levels have sizes 57, 56, ..., 2
+    # and 2 for the path's ends
+    g = Graph.from_edges(60, [(0, 1), (1, 2)])
+    grp = automorphism_generators(g)
+    assert grp.order() == 2 * math.factorial(57)
+    assert sorted(map(len, grp.levels)) == [2] + list(range(2, 58))
+    log_aut, n_orbits, _ = exact_features(g)
+    assert log_aut == math.log(2 * math.factorial(57))
+    assert n_orbits == 3
 
 
 def test_automorphisms_of_random_regular_are_real():

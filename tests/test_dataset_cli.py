@@ -582,7 +582,7 @@ def test_cli_reduce_complete8(tmp_path, capsys):
 
 
 def test_cli_reduce_searches_once(tmp_path, capsys, monkeypatch):
-    # both flip settings share one automorphism search and its stabilizer chain
+    # both flip settings share one automorphism search
     calls = []
 
     def counting(g, *args, **kwargs):

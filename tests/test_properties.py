@@ -1,7 +1,8 @@
 """Property tests: the vectorised Burnside tally and the block enumerator
 against the one-element-at-a-time oracles, on random generator sets and on
 the automorphism groups of random graphs, n <= 8, with the flip on and off;
-the searched group against a brute-force scan, n <= 6; relabelling
+the searched group against a brute-force scan, n <= 6, and its order
+against Schreier-Sims on the same generators, n <= 8; relabelling
 invariance of the group order and the features; the orbit-shared
 deletion averages against one search per deletion; the reduced engine
 against the full one; the model-file, record-line and edge-list parsers
@@ -55,7 +56,8 @@ BRUTE_BURNSIDE_STEPS = 1 << 16
 def generator_sets(draw):
     n = draw(st.integers(1, N_MAX))
     gens = draw(st.lists(st.permutations(range(n)), max_size=3))
-    return PermGroup(n, tuple(gens))
+    base, strong = oracles.schreier_sims(n, gens)
+    return PermGroup(n, strong, base)
 
 
 @st.composite
@@ -86,6 +88,19 @@ def test_burnside_tally_matches_oracles(grp, flip):
 def test_generators_span_every_automorphism(g):
     grp = automorphism_generators(g)
     assert set(iter_elements(grp)) == set(oracles.brute_automorphisms(g.n, g.edges))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_search_base_order_matches_schreier_sims(g, data):
+    # the search's own base and generators give the order that Schreier-Sims
+    # finds from the same generators, on the graph and on a relabelling of it;
+    # test_generators_span_every_automorphism checks the elements for n <= 6
+    perm = data.draw(st.permutations(range(g.n)))
+    h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    for graph in (g, h):
+        grp = automorphism_generators(graph)
+        assert grp.order() == oracles.StabilizerChain(graph.n, grp.generators).order()
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
