@@ -15,7 +15,7 @@ from .graphs import Graph
 
 DEGREE_CAP = 255  # largest degree of the 256-byte permutation tables and the automorphism search
 BITSTRING_N_CAP = 20  # largest n whose 2^n bitstring index tables are built
-ENUMERATION_CAP = 8 * 10**6  # largest group order iter_element_blocks enumerates by default
+ENUMERATION_CAP = 8 * 10**6  # largest group order iter_element_blocks enumerates
 SEARCH_NODE_CAP = 10**7  # search-tree nodes automorphism_generators visits before giving up
 Perm = tuple[int, ...]
 
@@ -357,7 +357,7 @@ def bitstring_orbits(grp: BitstringGroup) -> BitstringOrbits:
 _BLOCK_ROWS = 4096
 
 
-def iter_element_blocks(grp: PermGroup, cap: int = ENUMERATION_CAP):
+def iter_element_blocks(grp: PermGroup):
     """Yield every group element exactly once, as uint8 blocks of shape (m, n)
     whose rows are image tables.
 
@@ -367,11 +367,11 @@ def iter_element_blocks(grp: PermGroup, cap: int = ENUMERATION_CAP):
     each comes out once with no dedup set. The shallow levels are expanded
     into one inner table of at most _BLOCK_ROWS rows; each product s of the
     deep levels then gives the block inner[:, s]. Raises before yielding
-    anything if the order exceeds cap.
+    anything if the order exceeds ENUMERATION_CAP.
     """
     order = grp.order()
-    if order > cap:
-        raise SizeLimitError(f"group order {order} exceeds enumeration cap {cap}")
+    if order > ENUMERATION_CAP:
+        raise SizeLimitError(f"group order {order} exceeds enumeration cap {ENUMERATION_CAP}")
     n = grp.n
     reps = [
         np.frombuffer(b"".join(t.values()), dtype=np.uint8).reshape(-1, 256)[:, :n]
@@ -396,10 +396,10 @@ def iter_element_blocks(grp: PermGroup, cap: int = ENUMERATION_CAP):
         yield inner[:, s]
 
 
-def iter_elements(grp: PermGroup, cap: int = ENUMERATION_CAP):
+def iter_elements(grp: PermGroup):
     """Yield every group element exactly once, as Perm tuples, in the order of
     iter_element_blocks."""
-    for block in iter_element_blocks(grp, cap):
+    for block in iter_element_blocks(grp):
         yield from map(tuple, block.tolist())
 
 

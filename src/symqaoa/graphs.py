@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,15 +10,6 @@ from .errors import InvalidParamsError, ParseError
 
 REGULAR_TRIES = 20000  # pairings random_regular draws before it gives up
 ASYMMETRIC_TRIES = 3000  # regular graphs trivial_aut_graph draws before it gives up
-NAMED_GRAPHS = (
-    "petersen",
-    "heawood",
-    "mobius-kantor",
-    "pappus",
-    "desargues",
-    "dodecahedron",
-    "icosahedron",
-)
 
 
 @dataclass(frozen=True)
@@ -122,18 +112,14 @@ def ladder(k: int) -> Graph:
     """Ladder (2 x k grid): rails 0..k-1 and k..2k-1 joined by rungs."""
     if k < 2:
         raise InvalidParamsError("ladder needs k >= 2")
-    edges = [(i, i + 1) for i in range(k - 1)]
-    edges += [(k + i, k + i + 1) for i in range(k - 1)]
-    edges += [(i, k + i) for i in range(k)]
-    return Graph.from_edges(2 * k, edges)
+    return grid2d(2, k)
 
 
 def circular_ladder(k: int) -> Graph:
     """Prism CL_k: ladder with both rails closed into cycles."""
     if k < 3:
         raise InvalidParamsError("circular ladder needs k >= 3")
-    g = ladder(k)
-    return Graph.from_edges(2 * k, list(g.edges) + [(0, k - 1), (k, 2 * k - 1)])
+    return _generalized_petersen(k, 1)
 
 
 def antiprism(k: int) -> Graph:
@@ -217,12 +203,41 @@ def trivial_aut_graph(n: int, k: int, seed: int) -> Graph:
     )
 
 
+def _generalized_petersen(n: int, k: int) -> Graph:
+    """GP(n, k): outer cycle 0..n-1, spokes i-(n + i), inner edges (n + i)-(n + (i + k) mod n)."""
+    edges = [e for i in range(n) for e in ((i, (i + 1) % n), (i, n + i), (n + i, n + (i + k) % n))]
+    return Graph.from_edges(2 * n, edges)
+
+
+def _lcf(n: int, jumps: tuple[int, ...]) -> Graph:
+    """LCF notation: a Hamiltonian n-cycle plus a chord from each i to i + jumps[i mod len]."""
+    chords = [(i, (i + jumps[i % len(jumps)]) % n) for i in range(n)]
+    return Graph.from_edges(n, list(cycle(n).edges) + chords)
+
+
+def _icosahedron() -> Graph:
+    """The antiprism on 1..10 capped by apex 0 over ring 1..5 and apex 11 under ring 6..10."""
+    caps = [(0 if i <= 5 else 11, i) for i in range(1, 11)]
+    return Graph.from_edges(12, [(u + 1, v + 1) for u, v in antiprism(5).edges] + caps)
+
+
+_NAMED_BUILDERS = {
+    "petersen": lambda: _generalized_petersen(5, 2),
+    "heawood": lambda: _lcf(14, (5, -5)),
+    "mobius-kantor": lambda: _generalized_petersen(8, 3),
+    "pappus": lambda: _lcf(18, (5, 7, -7, 7, -7, -5)),
+    "desargues": lambda: _generalized_petersen(10, 3),
+    "dodecahedron": lambda: _generalized_petersen(10, 2),
+    "icosahedron": _icosahedron,
+}
+NAMED_GRAPHS = tuple(_NAMED_BUILDERS)
+
+
 def named(name: str) -> Graph:
-    """Load one of the bundled named graphs by its edge-list file."""
+    """Build one of the hand-picked named graphs from its construction."""
     if name not in NAMED_GRAPHS:
         raise InvalidParamsError(f"unknown named graph {name!r}; choices: {NAMED_GRAPHS}")
-    ref = importlib.resources.files("symqaoa.data").joinpath(f"{name}.edges")
-    return parse_edge_list(ref.read_text())
+    return _NAMED_BUILDERS[name]()
 
 
 @dataclass(frozen=True)

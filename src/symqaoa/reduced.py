@@ -28,7 +28,7 @@ from .autgroup import (
 )
 from .errors import InvalidParamsError, NotInvariantError, SizeLimitError
 from .graphs import Graph
-from .simulator import CostDiagonal, StateVector, check_layers
+from .simulator import CostDiagonal, StateVector, _check_memory, check_layers
 
 GENERIC_N_CAP = 16
 
@@ -161,6 +161,8 @@ def reduce_operators(diag: CostDiagonal, basis: BitstringOrbits) -> ReducedOpera
     if not np.array_equal(values, values[reps][labels]):
         raise NotInvariantError("cost is not constant on an orbit")
     dim = basis.n_orbits
+    # transfer, ratio, mixer and their symmetrized sum: four d x d float64 arrays
+    _check_memory(32 * dim * dim, f"the reduced operators of dimension {dim}")
     transfer = np.zeros((dim, dim), dtype=np.float64)
     neighbors = labels[reps[:, None] ^ (1 << np.arange(basis.n, dtype=np.int64))]
     np.add.at(transfer, (np.arange(dim)[:, None], neighbors), 1.0)
@@ -187,7 +189,7 @@ def hamming_reduced_ops(n: int) -> ReducedOperators:
     idx = np.arange(n)
     mixer[idx, idx + 1] = off
     mixer[idx + 1, idx] = off
-    init = np.sqrt(np.array([math.comb(n, k) for k in range(n + 1)], dtype=np.float64) / float(2**n))
+    init = np.sqrt(np.array([math.comb(n, k) / 2**n for k in range(n + 1)]))
     return ReducedOperators(cost, mixer, init)
 
 
@@ -207,6 +209,8 @@ class ReducedEngine:
     def __init__(self, ops: ReducedOperators):
         self.ops = ops
         self.values = ops.cost_diag
+        # the real eigenvectors V (8 bytes an entry) and its two complex copies (16 each)
+        _check_memory(40 * ops.dim * ops.dim, f"the reduced engine of dimension {ops.dim}")
         w, v = np.linalg.eigh(ops.mixer)
         self._w = w.astype(np.complex128)
         self._v = np.ascontiguousarray(v).astype(np.complex128)

@@ -51,6 +51,14 @@ def closed_form_edge(beta, gamma) -> float:
     return 0.5 + 0.5 * math.sin(4.0 * beta) * math.sin(gamma)
 
 
+def circular_ladder_edges(k) -> tuple[int, list[tuple[int, int]]]:
+    """Prism on 2k vertices: rails 0..k-1 and k..2k-1, rungs i-(k + i), and the
+    two edges that close the rails into cycles; edges sorted with u < v."""
+    edges = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    edges += [(i, k + i) for i in range(k)] + [(0, k - 1), (k, 2 * k - 1)]
+    return 2 * k, sorted(edges)
+
+
 def brute_automorphisms(n, edges) -> list[tuple[int, ...]]:
     """All vertex permutations preserving the edge set; n <= 8 or so."""
     edge_set = {frozenset(e) for e in edges}

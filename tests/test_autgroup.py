@@ -141,11 +141,9 @@ def test_contains_and_chain_order():
 
 def test_iter_elements_matches_enumerate():
     grp = sym_group(5)
-    seen = list(iter_elements(grp, cap=200))
+    seen = list(iter_elements(grp))
     assert len(seen) == 120
     assert len(set(seen)) == 120
-    with pytest.raises(SizeLimitError):
-        list(iter_elements(sym_group(8), cap=100))
 
 
 def test_vertex_orbits():

@@ -1,8 +1,12 @@
 """Graph construction, generators, and edge-list serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import oracles
+from symqaoa.autgroup import automorphism_generators
 from symqaoa.errors import InvalidParamsError, ParseError
 from symqaoa.graphs import (
     FAMILY_NAMES,
@@ -65,8 +69,16 @@ def test_family_sizes():
     assert cycle(7).m == 7
     assert star(9).m == 8
     assert wheel(6).m == 10  # rim 5 + spokes 5
-    assert ladder(4) == grid2d(2, 4)
+    for k in range(2, 41):
+        assert ladder(k) == grid2d(2, k)
+    for k in range(3, 41):
+        g = circular_ladder(k)
+        assert (g.n, list(g.edges)) == oracles.circular_ladder_edges(k)
     assert circular_ladder(4).m == 12
+    with pytest.raises(InvalidParamsError, match="^ladder needs k >= 2$"):
+        ladder(1)
+    with pytest.raises(InvalidParamsError, match="^circular ladder needs k >= 3$"):
+        circular_ladder(2)
     assert antiprism(4).m == 16
     assert grid2d(3, 3).m == 12
     assert grid2d(3, 3, periodic=True).m == 18
@@ -124,19 +136,32 @@ def test_trivial_aut_graph_refuses_symmetric_degrees(n, k, monkeypatch):
         trivial_aut_graph(n, k, seed=1)
 
 
+# name: sha256 of the edge-list text, n, m, degree, |Aut|
+NAMED_EXPECTED = {
+    "petersen": ("25a2dadb66f6ddf696a3e28cae69e683d4617c0fa86e3fae11a0b9ffc4db89be", 10, 15, 3, 120),
+    "heawood": ("9b5e6a9b0ab830dd2f3637bfc9ad23ca476f5f7a4b38d8844cd9458eb5b95d78", 14, 21, 3, 336),
+    "mobius-kantor": ("f52e0ba95655f31467c464ac4a26ffc6ce92fec3e480b40988110da0258821ae", 16, 24, 3, 96),
+    "pappus": ("d7163f7d92cc261e1f3ac1c51cb1aea5aff22af036e02533c2bb2dfe95112365", 18, 27, 3, 216),
+    "desargues": ("adc0ded6b40878db2877a1076391a7d5752bb71b39e64911cc1ffaaba7deaf2d", 20, 30, 3, 240),
+    "dodecahedron": ("328d3b8b38be1b5275d6b2f257d627e39f94a7f018d9336a3e744538426b3718", 20, 30, 3, 120),
+    "icosahedron": ("02072d8c4f9184837f2a67cd36adeeab249bcd9f386f4797af85921c74f3f436", 12, 30, 5, 120),
+}
+
+
 def test_named_graphs():
-    pet = named("petersen")
-    assert (pet.n, pet.m) == (10, 15)
-    assert pet.degrees() == [3] * 10
-    hea = named("heawood")
-    assert (hea.n, hea.m) == (14, 21)
-    ico = named("icosahedron")
-    assert (ico.n, ico.m) == (12, 30)
-    assert ico.degrees() == [5] * 12
-    for name in NAMED_GRAPHS:
-        assert is_connected(named(name))
-    with pytest.raises(InvalidParamsError):
+    # the order is gen-graphs --name's list of choices
+    assert NAMED_GRAPHS == tuple(NAMED_EXPECTED)
+    for name, (digest, n, m, degree, order) in NAMED_EXPECTED.items():
+        g = named(name)
+        # pinned byte for byte: cached records and model inputs depend on these edge lists
+        assert hashlib.sha256(format_edge_list(g).encode()).hexdigest() == digest, name
+        assert (g.n, g.m) == (n, m), name
+        assert g.degrees() == [degree] * n, name
+        assert is_connected(g), name
+        assert automorphism_generators(g).order() == order, name
+    with pytest.raises(InvalidParamsError) as info:
         named("nope")
+    assert str(info.value) == f"unknown named graph 'nope'; choices: {NAMED_GRAPHS}"
 
 
 def test_generate_dispatch():

@@ -8,7 +8,8 @@ import pytest
 
 import oracles
 from acceptance_profile import DATASET_PATH
-from symqaoa.autgroup import PermGroup
+from symqaoa import simulator
+from symqaoa.autgroup import BitstringOrbits, PermGroup
 from symqaoa.dataset import load_dataset
 from symqaoa.errors import InvalidParamsError, NotInvariantError, SizeLimitError
 from symqaoa.graphs import Graph, complete, cycle, ladder, named, random_regular, wheel
@@ -88,6 +89,38 @@ def test_hamming_ops_values():
     assert ops.init @ ops.init == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InvalidParamsError):
         hamming_reduced_ops(0)
+    # 2^1029 does not fit a float; the binomial weights are exact integer quotients
+    big = hamming_reduced_ops(1029)
+    assert big.init @ big.init == pytest.approx(1.0, abs=1e-12)
+
+
+def test_reduced_builders_refuse_memory_before_allocating(monkeypatch):
+    # the trivial basis at n = 14 has d = 16,384, so the four d x d operator
+    # arrays would take 8 GiB and V with its complex copies 10 GiB; both
+    # builders refuse before their first d x d allocation
+    d = 1 << 14
+    idx = np.arange(d, dtype=np.int64)
+    trivial = BitstringOrbits(14, idx, np.ones(d, dtype=np.int64), idx)
+    with pytest.raises(SizeLimitError, match="reduced operators of dimension 16384"):
+        reduce_operators(maxcut_diagonal(cycle(14)), trivial)
+    flat = np.zeros(d)
+    huge = ReducedOperators(flat, np.broadcast_to(np.zeros(()), (d, d)), flat)
+    with pytest.raises(SizeLimitError, match="reduced engine of dimension 16384"):
+        ReducedEngine(huge)
+    # the counts are exact: 32 d^2 bytes for the operators (d = 5 here) and
+    # 40 d^2 for the engine (d = 4)
+    basis, diag = build_orbit_basis(complete(4)), maxcut_diagonal(complete(4))
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 32 * 25)
+    assert reduce_operators(diag, basis).dim == 5
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 32 * 25 - 1)
+    with pytest.raises(SizeLimitError, match="budget"):
+        reduce_operators(diag, basis)
+    ops = hamming_reduced_ops(3)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 40 * 16)
+    assert len(ReducedEngine(ops).run([0.3], [0.7])) == 4
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 40 * 16 - 1)
+    with pytest.raises(SizeLimitError, match="budget"):
+        ReducedEngine(ops)
 
 
 @pytest.mark.parametrize("flip", [False, True])
