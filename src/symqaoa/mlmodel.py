@@ -42,7 +42,6 @@ class Standardizer:
 
     means: np.ndarray
     stds: np.ndarray
-    constant_mask: np.ndarray
 
     @staticmethod
     def fit(x: np.ndarray) -> "Standardizer":
@@ -57,8 +56,7 @@ class Standardizer:
                 f"{int(constant.sum())} constant feature column(s); leaving scale 1",
                 stacklevel=2,
             )
-        stds = np.where(constant, 1.0, stds)
-        return Standardizer(means, stds, constant)
+        return Standardizer(means, np.where(constant, 1.0, stds))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.means) / self.stds
@@ -78,15 +76,15 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KernelModel:
-    """Support points with dual weights: prediction = bias + sum w_i k(x, x_i).
-    The regressor has one weight vector and a float bias; the ordinal
-    ensemble's model has one weight column and one bias entry per cutoff."""
+    """Support points with dual weights: prediction = bias + sum w_i k(x, x_i),
+    with one weight column and one bias entry per output. The regressor has
+    one column; the ordinal ensemble's model has one per cutoff."""
 
     support: np.ndarray
     weights: np.ndarray
     gamma: float
     lam: float
-    bias: float | np.ndarray
+    bias: np.ndarray
 
 
 def _kernel_scores(model: KernelModel, rows: np.ndarray) -> np.ndarray:
@@ -100,7 +98,7 @@ def train_regressor(x: np.ndarray, y: np.ndarray, gamma: float, lam: float) -> K
     if x.ndim != 2 or len(x) != len(y) or len(y) < 1:
         raise InvalidParamsError("need matching non-empty X and y")
     weights, bias = _ridge_solve(kernel_matrix(x, x, gamma), y, lam)
-    return KernelModel(x.copy(), weights, float(gamma), float(lam), bias)
+    return KernelModel(x.copy(), weights[:, None], float(gamma), float(lam), np.array([bias]))
 
 
 def _ridge_solve(k: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
@@ -116,7 +114,7 @@ def _ridge_solve(k: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, 
 def predict_regressor(model: KernelModel, x: np.ndarray) -> float | np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    vals = _kernel_scores(model, x[None, :] if single else x)
+    vals = _kernel_scores(model, x[None, :] if single else x)[:, 0]
     return float(vals[0]) if single else vals
 
 
@@ -274,7 +272,7 @@ class PminPredictor:
         return predict_ordinal(self.ensemble, self.standardizer.apply(features))
 
 
-MODEL_FORMAT = "symqaoa-model 2"
+MODEL_FORMAT = "symqaoa-model 3"
 
 
 def _line(name: str, values) -> str:
@@ -285,18 +283,16 @@ def _line(name: str, values) -> str:
 def _write_block(out: list[str], name: str, model: KernelModel) -> None:
     """A kernel model's name and support-point count, gamma, lambda, a bias per
     weight column, then each support point followed by its weights."""
-    weights = model.weights.reshape(len(model.support), -1)
     out += [_line(name, [len(model.support)]), _line("gamma", [float(model.gamma)]),
-            _line("lambda", [float(model.lam)]), _line("bias", np.atleast_1d(model.bias).tolist())]
-    out += [_line("row", row) for row in np.hstack((model.support, weights)).tolist()]
+            _line("lambda", [float(model.lam)]), _line("bias", model.bias.tolist())]
+    out += [_line("row", row) for row in np.hstack((model.support, model.weights)).tolist()]
 
 
 def save_model(pred: PminPredictor, path) -> None:
     """Versioned flat text: the standardizer, the regressor block, the ensemble
     block and the ensemble's cutoffs, score scales and class range."""
     std, ens = pred.standardizer, pred.ensemble
-    out = [MODEL_FORMAT, _line("means", std.means.tolist()), _line("stds", std.stds.tolist()),
-           _line("constant-mask", std.constant_mask.astype(int).tolist())]
+    out = [MODEL_FORMAT, _line("means", std.means.tolist()), _line("stds", std.stds.tolist())]
     _write_block(out, "regressor", pred.regressor)
     _write_block(out, "ensemble", ens.model)
     out += [_line("cutoffs", list(ens.cutoffs)), _line("sigmas", ens.sigmas.tolist()),
@@ -349,9 +345,7 @@ def load_model(path) -> PminPredictor:
 
     means = np.array(take("means", None))
     stds = np.array(take("stds", len(means), ok=_positive))
-    mask = np.array(take("constant-mask", len(means), int, lambda v: v in (0, 1)), dtype=bool)
     reg = _read_block(take, "regressor", len(means), columns=1)
-    reg = KernelModel(reg.support, reg.weights.ravel(), reg.gamma, reg.lam, float(reg.bias[0]))
     model = _read_block(take, "ensemble", len(means))
     cutoffs = tuple(take("cutoffs", len(model.bias), int))
     sigmas = np.array(take("sigmas", len(model.bias), ok=_positive))
@@ -359,7 +353,7 @@ def load_model(path) -> PminPredictor:
     if pos < len(lines):
         raise ParseError(f"{path}:{pos + 1}: unexpected line after the model")
     ensemble = OrdinalEnsemble(cutoffs, model, sigmas, y_min, top_class)
-    return PminPredictor(Standardizer(means, stds, mask), reg, ensemble, reg.gamma, reg.lam)
+    return PminPredictor(Standardizer(means, stds), reg, ensemble, reg.gamma, reg.lam)
 
 
 def shuffle_within_families(families, seed) -> list[np.ndarray]:

@@ -3,7 +3,7 @@
 When the cost is constant on the orbits of a bitstring symmetry group, the
 dynamics stay inside the span of the normalized orbit sums, so one amplitude
 per orbit suffices. Two routes: a generic orbit basis built by explicit
-enumeration (n <= GENERIC_N_CAP), and a closed-form Hamming-weight ladder
+enumeration (n <= BITSTRING_N_CAP), and a closed-form Hamming-weight ladder
 for complete graphs at any n. Both assume the uniform initial state.
 """
 
@@ -29,8 +29,6 @@ from .autgroup import (
 from .errors import InvalidParamsError, NotInvariantError, SizeLimitError
 from .graphs import Graph
 from .simulator import CostDiagonal, StateVector, _check_memory, check_layers
-
-GENERIC_N_CAP = 16
 
 
 def symmetry_group(g: Graph, include_flip: bool = False) -> BitstringGroup:
@@ -127,9 +125,9 @@ def quotient_dimension(grp: BitstringGroup) -> QuotientCount:
 def build_orbit_basis(g: Graph, include_flip: bool = False) -> BitstringOrbits:
     """Orbits of the bitstrings under Aut(g), and the flip if asked: orbit k is
     the basis vector |o_k> = sum over orbit k / sqrt(size), so n_orbits is the
-    dimension."""
-    if g.n > GENERIC_N_CAP:
-        raise SizeLimitError(f"generic orbit basis needs n <= {GENERIC_N_CAP}, got {g.n}")
+    dimension. Refuses n > BITSTRING_N_CAP before the automorphism search."""
+    if g.n > BITSTRING_N_CAP:
+        raise SizeLimitError(f"generic orbit basis needs n <= {BITSTRING_N_CAP}, got {g.n}")
     return bitstring_orbits(BitstringGroup(automorphism_generators(g), include_flip))
 
 
@@ -196,7 +194,7 @@ def hamming_reduced_ops(n: int) -> ReducedOperators:
 class ReducedEngine:
     """Reusable reduced-space simulator with the protocol of simulator.Engine;
     values holds the cost of every orbit, and the mixer eigendecomposition is
-    computed once and shared across angle evaluations.
+    computed once and shared across angle evaluations; the mixer is not kept.
 
     A layer is the phase exp(-i gamma values), then V exp(-i beta w) V^T with
     the real eigenvectors V. numpy multiplies a real matrix into a complex
@@ -207,7 +205,6 @@ class ReducedEngine:
     """
 
     def __init__(self, ops: ReducedOperators):
-        self.ops = ops
         self.values = ops.cost_diag
         # the real eigenvectors V (8 bytes an entry) and its two complex copies (16 each)
         _check_memory(40 * ops.dim * ops.dim, f"the reduced engine of dimension {ops.dim}")

@@ -16,16 +16,16 @@ from typing import NamedTuple
 import numpy as np
 from scipy import optimize
 
+from .autgroup import BITSTRING_N_CAP
 from .errors import InvalidParamsError, SizeLimitError
 from .graphs import Graph
 from .reduced import (
-    GENERIC_N_CAP,
     ReducedEngine,
     build_orbit_basis,
     hamming_reduced_ops,
     reduce_operators,
 )
-from .simulator import MAX_QUBITS, Angles, Engine, cut_counts, maxcut_diagonal
+from .simulator import MAX_QUBITS, Angles, Engine, _check_memory, cut_counts, maxcut_diagonal
 
 BETA_MAX = math.pi
 GAMMA_MAX = 2.0 * math.pi
@@ -35,11 +35,16 @@ REDUCED_DIM_CAP = 1024
 DEPTH_CAP = 1000  # largest depth of a schedule, a search or verify's random angles
 
 
+def _check_count(what: str, value) -> None:
+    """Raise InvalidParamsError unless value is an int >= 1 (bools are not)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise InvalidParamsError(f"{what} must be an integer >= 1, got {value!r}")
+
+
 def check_depth(p) -> None:
     """Raise InvalidParamsError unless p is an int >= 1 (bools are not), and
     SizeLimitError if it exceeds DEPTH_CAP."""
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise InvalidParamsError(f"depth must be an integer >= 1, got {p!r}")
+    _check_count("depth", p)
     if p > DEPTH_CAP:
         raise SizeLimitError(f"depth must be <= {DEPTH_CAP}, got {p}")
 
@@ -105,11 +110,11 @@ def max_cut_brute(g: Graph) -> int:
 
 def make_engine(g: Graph):
     """Cheapest exact evaluator for a graph: the Hamming ladder for complete
-    graphs, a generic orbit basis when it is small enough, else the full
-    statevector."""
+    graphs, the orbit basis when n <= BITSTRING_N_CAP and it has at most
+    REDUCED_DIM_CAP orbits, else the full statevector."""
     if g.n >= 2 and g.m == g.n * (g.n - 1) // 2:  # complete
         return ReducedEngine(hamming_reduced_ops(g.n))
-    if g.n <= GENERIC_N_CAP:
+    if g.n <= BITSTRING_N_CAP:
         basis = build_orbit_basis(g, include_flip=True)
         if basis.n_orbits <= REDUCED_DIM_CAP:
             return ReducedEngine(reduce_operators(maxcut_diagonal(g), basis))
@@ -158,9 +163,10 @@ def optimize_linear(
     ratio, ties going to the earliest restart, and the returned ratio is
     re-evaluated exactly at the returned schedule.
     """
-    if restarts < 1:
-        raise InvalidParamsError(f"need restarts >= 1, got {restarts}")
+    _check_count("restarts", restarts)
     check_depth(p)
+    # the drawn table and its scaled copy, 4 float64 a restart each
+    _check_memory(64 * restarts, f"the start points of {restarts} restarts")
     rng = np.random.default_rng(seed)
     starts = rng.random((restarts, 4)) * _BOX_HI
     bounds = [(0.0, BETA_MAX), (0.0, BETA_MAX), (0.0, GAMMA_MAX), (0.0, GAMMA_MAX)]
@@ -227,8 +233,9 @@ class SearchSettings:
     """The settings of the depth search, which define every p_min it reports:
     the target ratio, the depth range p_start..p_cap and the Nelder-Mead
     restarts per depth. Building one checks that the target is positive and
-    finite, 1 <= p_start <= p_cap and restarts >= 1 (InvalidParamsError), and
-    that p_cap <= DEPTH_CAP (SizeLimitError)."""
+    finite, that p_start and restarts are integers >= 1 (bools are not) and
+    p_start <= p_cap (InvalidParamsError), and that p_cap <= DEPTH_CAP
+    (SizeLimitError)."""
 
     target_ratio: float = 0.95
     p_start: int = 2
@@ -240,11 +247,11 @@ class SearchSettings:
             raise InvalidParamsError(
                 f"target ratio must be positive and finite, got {self.target_ratio}"
             )
-        if self.p_start < 1 or self.p_cap < self.p_start:
+        _check_count("p_start", self.p_start)
+        _check_count("restarts", self.restarts)
+        if self.p_cap < self.p_start:
             raise InvalidParamsError(f"bad depth range [{self.p_start}, {self.p_cap}]")
         check_depth(self.p_cap)
-        if self.restarts < 1:
-            raise InvalidParamsError(f"need restarts >= 1, got {self.restarts}")
 
     @property
     def search(self) -> "SearchSettings":

@@ -8,7 +8,8 @@ quality, the symmetry-vs-depth ordering, speed budgets, and bit-exact
 reproducibility.
 
 Criteria 6 through 10 consume the cached desk-scale dataset; the first run
-generates it (roughly an hour and a half serial, see acceptance_profile).
+generates it (4,260.9 s on one core when the cache was written, see
+acceptance_profile).
 """
 
 import json

@@ -672,6 +672,19 @@ def test_cli_pmin(tmp_path, capsys):
     assert trace.read_text().startswith("p,best_ratio,")
 
 
+def test_cli_pmin_refuses_restarts_above_budget(tmp_path, capsys, monkeypatch):
+    # a start table over the memory budget exits 3 with a message, where it
+    # raised an uncaught MemoryError; the budget is lowered so that nothing
+    # large is ever asked for
+    path = tmp_path / "k2.edges"
+    main(["gen-graphs", "--family", "complete", "--n", "2", "--out", str(path)])
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 64 * 99)
+    capsys.readouterr()
+    assert main(["--p-start", "1", "--p-cap", "1", "--restarts", "100", "pmin", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: the start points of 100 restarts") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
 def test_cli_pmin_rejects_non_finite_target(tmp_path, capsys, target):
     path = petersen_file(tmp_path)

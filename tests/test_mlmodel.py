@@ -52,9 +52,10 @@ def test_standardizer_basics():
 
 def test_standardizer_constant_column():
     x = np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]])
-    with pytest.warns(UserWarning, match="constant"):
+    with pytest.warns(UserWarning, match=r"^1 constant feature column\(s\); leaving scale 1$"):
         std = Standardizer.fit(x)
-    assert list(std.constant_mask) == [False, True]
+    assert std.stds[0] == pytest.approx(math.sqrt(2 / 3))
+    assert std.stds[1] == 1.0
     assert std.apply(x)[:, 1] == pytest.approx([0.0, 0.0, 0.0])
     with pytest.raises(InvalidParamsError):
         Standardizer.fit(np.array([1.0, 2.0]))
@@ -331,6 +332,8 @@ def test_ensemble_is_one_kernel_model(tmp_path):
     ens = pred.ensemble
     assert ens.model.weights.shape == (20, len(ens.cutoffs))
     assert ens.model.bias.shape == ens.sigmas.shape == (len(ens.cutoffs),)
+    # the regressor is the one-column case of the same model
+    assert pred.regressor.weights.shape == (20, 1) and pred.regressor.bias.shape == (1,)
     for q in queries:
         # column j of the one weight matrix is the classifier of cutoff j
         z = pred.standardizer.apply(q)
@@ -361,6 +364,7 @@ MALFORMED_MODELS = {
         lines, "means", lambda line: " ".join(line.split()[:2])
     ),
     "format-1": lambda lines: lines.__setitem__(0, "symqaoa-model 1"),
+    "format-2": lambda lines: lines.__setitem__(0, "symqaoa-model 2"),
 }
 
 
@@ -380,7 +384,7 @@ def test_load_model_rejects_malformed(tmp_path, capsys, case):
     assert main(["predict", "--model", str(path), "--features", feats]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    if case == "format-1":
+    if case.startswith("format-"):
         assert "retrained" in err
 
 

@@ -195,11 +195,17 @@ def test_reduced_engine_bit_identical_to_layer_oracle():
     rng = random.Random(1606)
     dims = set()
     for iid in ENGINE_IDS:
-        rec = records[iid]
-        eng = make_engine(rec.graph())
+        g = records[iid].graph()
+        eng = make_engine(g)
         assert isinstance(eng, ReducedEngine)
-        dims.add(eng.ops.dim)
-        _assert_matches_layer_oracle(eng.ops, rec.p_min or 20, rng)
+        # the engine keeps no operators, so build the ones make_engine built
+        if g.m == g.n * (g.n - 1) // 2:
+            ops = hamming_reduced_ops(g.n)
+        else:
+            ops = reduce_operators(maxcut_diagonal(g), build_orbit_basis(g, include_flip=True))
+        assert np.array_equal(ops.cost_diag, eng.values)
+        dims.add(ops.dim)
+        _assert_matches_layer_oracle(ops, records[iid].p_min or 20, rng)
     assert min(dims) == 4 and max(dims) == 576
     for n in range(1, 21):
         _assert_matches_layer_oracle(hamming_reduced_ops(n), 12, rng)
@@ -236,9 +242,14 @@ def test_reduce_rejects_noninvariant_cost():
         reduce_operators(maxcut_diagonal(complete(5)), basis)
 
 
-def test_basis_size_limit():
-    with pytest.raises(SizeLimitError):
-        build_orbit_basis(complete(17))
+def test_basis_size_limit(monkeypatch):
+    # the cap is checked before the automorphism search starts
+    def no_search(g):
+        raise AssertionError("automorphism search ran above the bitstring cap")
+
+    monkeypatch.setattr("symqaoa.reduced.automorphism_generators", no_search)
+    with pytest.raises(SizeLimitError, match="n <= 20, got 21"):
+        build_orbit_basis(complete(21))
 
 
 def test_lift_validation():

@@ -2,13 +2,15 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 import oracles
+from symqaoa import simulator
 from symqaoa.errors import InvalidParamsError, SizeLimitError
-from symqaoa.graphs import Graph, complete, cycle, named, star, trivial_aut_graph
+from symqaoa.graphs import Graph, complete, cycle, named, star, trivial_aut_graph, wheel
 from symqaoa.reduced import ReducedEngine
 from symqaoa.schedules import (
     DEPTH_CAP,
@@ -121,8 +123,9 @@ def test_optimizer_finds_single_edge_peak():
 def test_optimizer_validation():
     with pytest.raises(InvalidParamsError):
         optimize_linear(ScheduleEvaluator(EDGE), p=0, restarts=1, seed=0)
-    with pytest.raises(InvalidParamsError):
-        optimize_linear(ScheduleEvaluator(EDGE), p=1, restarts=0, seed=0)
+    for restarts in (0, 2.5, True):
+        with pytest.raises(InvalidParamsError, match="restarts must be an integer >= 1"):
+            optimize_linear(ScheduleEvaluator(EDGE), p=1, restarts=restarts, seed=0)
     with pytest.raises(InvalidParamsError):
         ScheduleEvaluator(Graph.from_edges(3, []))
 
@@ -172,6 +175,29 @@ def test_find_pmin_depths_seeded_independently():
         assert entry.ratio == by_p[entry.p].ratio
 
 
+@pytest.mark.parametrize("field", ["p_start", "restarts"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+def test_search_settings_need_integer_counts(field, value):
+    # a float or a bool passed the range checks and failed later, inside
+    # range() or rng.random()
+    want = re.escape(f"{field} must be an integer >= 1, got {value!r}")
+    with pytest.raises(InvalidParamsError, match=want):
+        SearchSettings(**{field: value})
+
+
+def test_optimizer_refuses_start_table_above_budget(monkeypatch):
+    # the start table and its scaled copy take 64 bytes a restart; a count
+    # above the budget is refused before the generator draws anything
+    ev = ScheduleEvaluator(EDGE)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 64 * 3)
+    optimize_linear(ev, p=1, restarts=3, seed=0)
+    drawn = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: drawn.append(a))
+    with pytest.raises(SizeLimitError, match="the start points of 4 restarts needs"):
+        optimize_linear(ev, p=1, restarts=4, seed=0)
+    assert drawn == []
+
+
 def test_find_pmin_validation():
     with pytest.raises(InvalidParamsError):
         find_pmin(EDGE, SearchSettings(target_ratio=0.0))
@@ -200,13 +226,34 @@ def test_trace_csv_round_trip():
 def test_make_engine_policy():
     eng = make_engine(complete(14))
     assert isinstance(eng, ReducedEngine)
-    assert eng.ops.dim == 15
+    assert len(eng.values) == 15
     eng = make_engine(named("petersen"))
     assert isinstance(eng, ReducedEngine)
-    # above the generic-basis cap the full statevector is the only option
+    # the orbit basis is tried up to the bitstring-table cap, and each of
+    # these has more orbits than the reduced-dimension cap; a trivial group
+    # leaves 2^(n-1) flip-orbits
     assert isinstance(make_engine(cycle(17)), Engine)
-    # trivial group: 2048 flip-orbits exceed the reduced-dimension cap
+    assert isinstance(make_engine(wheel(18)), Engine)
     assert isinstance(make_engine(trivial_aut_graph(12, 3, seed=2)), Engine)
+    assert isinstance(make_engine(trivial_aut_graph(18, 3, seed=2)), Engine)
+
+
+def test_make_engine_reduces_star_above_16_vertices():
+    # star(18) under S_17 and the flip: the center's side and the leaves on
+    # the other side, 18 orbits where the full engine simulates 2^17 states
+    g = star(18)
+    eng = make_engine(g)
+    assert isinstance(eng, ReducedEngine)
+    assert len(eng.values) == 18
+    full = Engine(maxcut_diagonal(g))
+    rng = random.Random(22)
+    for _ in range(5):
+        sched = LinearSchedule(
+            6, *(rng.uniform(0.0, hi) for hi in (math.pi, math.pi, 2 * math.pi, 2 * math.pi))
+        )
+        angles = sched.expand()
+        want = full.expectation(angles.betas, angles.gammas)
+        assert eng.expectation(angles.betas, angles.gammas) == pytest.approx(want, rel=1e-12)
 
 
 def test_engines_agree_on_ratio():
