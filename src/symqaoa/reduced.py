@@ -122,13 +122,22 @@ def quotient_dimension(grp: BitstringGroup) -> QuotientCount:
     )
 
 
-def build_orbit_basis(g: Graph, include_flip: bool = False) -> BitstringOrbits:
+def build_orbit_basis(
+    g: Graph, include_flip: bool = False, cap: int | None = None
+) -> BitstringOrbits | None:
     """Orbits of the bitstrings under Aut(g), and the flip if asked: orbit k is
     the basis vector |o_k> = sum over orbit k / sqrt(size), so n_orbits is the
-    dimension. Refuses n > BITSTRING_N_CAP before the automorphism search."""
+    dimension. Refuses n > BITSTRING_N_CAP before the automorphism search.
+
+    With a cap, returns None before labelling the 2^n bitstrings when 2^n >
+    cap * |G|: no orbit has more than |G| members, so the dimension exceeds cap.
+    """
     if g.n > BITSTRING_N_CAP:
         raise SizeLimitError(f"generic orbit basis needs n <= {BITSTRING_N_CAP}, got {g.n}")
-    return bitstring_orbits(BitstringGroup(automorphism_generators(g), include_flip))
+    grp = BitstringGroup(automorphism_generators(g), include_flip)
+    if cap is not None and (1 << g.n) > cap * grp.order():
+        return None
+    return bitstring_orbits(grp)
 
 
 @dataclass(eq=False)

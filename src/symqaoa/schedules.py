@@ -14,8 +14,8 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
+from . import optimize
 from .autgroup import BITSTRING_N_CAP
 from .errors import InvalidParamsError, SizeLimitError
 from .graphs import Graph
@@ -115,8 +115,8 @@ def make_engine(g: Graph):
     if g.n >= 2 and g.m == g.n * (g.n - 1) // 2:  # complete
         return ReducedEngine(hamming_reduced_ops(g.n))
     if g.n <= BITSTRING_N_CAP:
-        basis = build_orbit_basis(g, include_flip=True)
-        if basis.n_orbits <= REDUCED_DIM_CAP:
+        basis = build_orbit_basis(g, include_flip=True, cap=REDUCED_DIM_CAP)
+        if basis is not None and basis.n_orbits <= REDUCED_DIM_CAP:
             return ReducedEngine(reduce_operators(maxcut_diagonal(g), basis))
     return Engine(maxcut_diagonal(g))
 
@@ -169,34 +169,20 @@ def optimize_linear(
     _check_memory(64 * restarts, f"the start points of {restarts} restarts")
     rng = np.random.default_rng(seed)
     starts = rng.random((restarts, 4)) * _BOX_HI
-    bounds = [(0.0, BETA_MAX), (0.0, BETA_MAX), (0.0, GAMMA_MAX), (0.0, GAMMA_MAX)]
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: list[float]) -> float:
         return -ev.ratio_of(p, x)
 
     best_x = None
     best_val = -math.inf
     for x0 in starts:
-        res = optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={
-                "initial_simplex": _initial_simplex(x0),
-                "fatol": 1e-6,
-                "xatol": np.inf,
-                "maxfev": 500,
-                "maxiter": 10**6,
-                "disp": False,
-            },
-        )
-        val = -float(res.fun)
+        res = optimize.minimize(objective, _initial_simplex(x0), _BOX_HI, fatol=1e-6, maxfev=500)
+        val = -res.fun
         if val > best_val:
             best_val = val
-            best_x = np.clip(res.x, 0.0, _BOX_HI)
-    schedule = LinearSchedule(p, *(float(v) for v in best_x))
-    return schedule, ev.ratio_of(p, best_x)
+            best_x = res.x
+    # a shrink cut short by maxfev can leave res.fun stale, so evaluate again
+    return LinearSchedule(p, *best_x), ev.ratio_of(p, best_x)
 
 
 class TraceEntry(NamedTuple):

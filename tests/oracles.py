@@ -1,13 +1,14 @@
 """Hand-rolled reference implementations that the tests trust instead of the
 package code. Everything favors obviousness over speed: dense kron matrices,
-pure-Python bit loops, brute-force permutation scans. Nothing here imports the
-package.
+pure-Python bit loops, brute-force permutation scans, and scipy's Nelder-Mead
+(the only use of scipy left). Nothing here imports the package.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy import optimize as scipy_optimize
 
 
 def cut_value(n, edges, x: int) -> int:
@@ -424,3 +425,25 @@ def reduced_evolve(w, v, values, init, betas, gammas) -> np.ndarray:
         amps *= np.exp(-1j * gamma * values)
         amps = v @ (np.exp(-1j * beta * w) * (v.T @ amps))
     return amps
+
+
+def scipy_nelder_mead(fun, simplex, upper, fatol, maxfev):
+    """scipy's bounded Nelder-Mead on the box [0, upper] from the given
+    simplex, with xatol inf: the call schedules.optimize_linear made before
+    the package had its own method, which must visit the same points."""
+    upper = np.asarray(upper, dtype=np.float64)
+    simplex = np.asarray(simplex, dtype=np.float64)
+    return scipy_optimize.minimize(
+        fun,
+        simplex[0],
+        method="Nelder-Mead",
+        bounds=[(0.0, float(h)) for h in upper],
+        options={
+            "initial_simplex": simplex,
+            "fatol": fatol,
+            "xatol": np.inf,
+            "maxfev": maxfev,
+            "maxiter": 10**6,
+            "disp": False,
+        },
+    )

@@ -1,8 +1,13 @@
 """Every name a module of the package imports is used in that module, so a
 deletion leaves no stale import behind. Names listed in __all__ count as
-used."""
+used. Nothing in the package imports scipy, and a depth search loads none of
+it."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "symqaoa"
@@ -35,3 +40,40 @@ def test_no_unused_imports():
         used = used_names(tree)
         unused += [f"{path.name}: {name}" for name in imported_names(tree) if name not in used]
     assert unused == []
+
+
+def test_package_does_not_import_scipy():
+    # scipy is a test dependency only (tests/oracles.py holds its Nelder-Mead)
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}: {n}" for n in names if n.partition(".")[0] == "scipy"]
+    assert offenders == []
+
+
+def test_pmin_loads_no_scipy(tmp_path):
+    # a whole depth search in a fresh interpreter, then the modules it loaded
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from symqaoa.cli import main
+        path = {str(tmp_path / "c5.edges")!r}
+        assert main(["gen-graphs", "--family", "cycle", "--n", "5", "--out", path]) == 0
+        assert main(["--p-start", "1", "--p-cap", "3", "--restarts", "2", "pmin", path]) == 0
+        print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+        """
+    )
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"

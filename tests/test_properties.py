@@ -6,12 +6,14 @@ against Schreier-Sims on the same generators, n <= 8; relabelling
 invariance of the group order and the features; the orbit-shared
 deletion averages against one search per deletion; the reduced engine
 against the full one; the model-file, record-line and edge-list parsers
-on damaged input, which they must reject with ParseError alone; and the
-schedule's layer angles against np.linspace, bit for bit."""
+on damaged input, which they must reject with ParseError alone; the
+schedule's layer angles against np.linspace, bit for bit; and the package's
+Nelder-Mead against scipy's, point for point."""
 
 import itertools
 import json
 import math
+import random
 import warnings
 from unittest import mock
 
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 import oracles
 from acceptance_profile import DATASET_PATH
-from symqaoa import features
+from symqaoa import features, optimize
 from symqaoa.autgroup import PermGroup, automorphism_generators, bitstring_orbits, iter_elements
 from symqaoa.cli import main
 from symqaoa.dataset import parse_record
@@ -310,3 +312,71 @@ def test_layer_angles_at_the_box_corners():
             for got, (start, stop) in ((betas, ends[:2]), (gammas, ends[2:])):
                 want = np.linspace(start, stop, p)
                 assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def nelder_mead_problems(draw):
+    """A box, a simplex (optimize_linear's, or any points, some outside the
+    box and one -0.0), and a maker of random objectives: smooth, rounded, or
+    the k-th call's value drawn from {0, 1, 2}. Rounded and drawn values tie,
+    which is where the order of np.argsort matters; drawn values also make
+    maxfev cut many shrinks short."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    upper = [rng.uniform(0.5, 7.0) for _ in range(4)]
+    if draw(st.booleans()):
+        x0 = [rng.random() * h for h in upper]
+        simplex = [list(x0) for _ in range(5)]
+        for j in range(4):
+            simplex[j + 1][j] += 0.15 if x0[j] + 0.15 <= upper[j] else -0.15
+    else:
+        simplex = [[rng.uniform(-1.0, h + 1.0) for h in upper] for _ in range(5)]
+        simplex[rng.randrange(5)][rng.randrange(4)] = -0.0
+    centre = [rng.random() * h for h in upper]
+    weight = [rng.uniform(0.1, 3.0) for _ in range(4)]
+    freq = rng.uniform(0.0, 5.0)
+    drawn = [float(rng.randrange(3)) for _ in range(60)]
+    kind = draw(st.sampled_from(["smooth", 0, 1, 2, "drawn"]))
+
+    def make_fun():
+        calls = iter(drawn)
+
+        def fun(x):
+            if kind == "drawn":
+                return next(calls)
+            x = [float(v) for v in x]
+            val = sum(w * (v - c) * (v - c) for w, v, c in zip(weight, x, centre))
+            val += math.sin(freq * x[0] * x[2])
+            return val if kind == "smooth" else round(val, kind)
+
+        return fun
+
+    return make_fun, simplex, upper
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    problem=nelder_mead_problems(),
+    maxfev=st.integers(1, 60),
+    fatol=st.sampled_from([0.0, 1e-6, 1e-2]),
+)
+def test_nelder_mead_visits_scipys_points(problem, maxfev, fatol):
+    make_fun, simplex, upper = problem
+    visits = ([], [])
+
+    def logged(log):
+        fun = make_fun()
+
+        def f(x):
+            log.append(tuple(float(v).hex() for v in x))
+            return fun(x)
+
+        return f
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy: "Initial guess is not within the bounds"
+        want = oracles.scipy_nelder_mead(logged(visits[0]), simplex, upper, fatol, maxfev)
+    got = optimize.minimize(logged(visits[1]), simplex, upper, fatol, maxfev)
+    assert visits[1] == visits[0]
+    assert [v.hex() for v in got.x] == [float(v).hex() for v in want.x]
+    assert got.fun == want.fun
+    assert got.nfev == want.nfev

@@ -252,6 +252,18 @@ def test_basis_size_limit(monkeypatch):
         build_orbit_basis(complete(21))
 
 
+def test_basis_cap_refuses_before_labelling():
+    # cycle(8): |G| = 16, 32 with the flip, over 2^8 = 256 bitstrings; no
+    # orbit has more than |G| members, so 2^n > cap * |G| means d > cap
+    g = cycle(8)
+    full = build_orbit_basis(g, include_flip=True)
+    assert build_orbit_basis(g, include_flip=True, cap=7) is None
+    kept = build_orbit_basis(g, include_flip=True, cap=8)
+    assert np.array_equal(kept.labels, full.labels) and kept.n_orbits == full.n_orbits
+    assert build_orbit_basis(g, cap=15) is None
+    assert build_orbit_basis(g, cap=16).n_orbits == build_orbit_basis(g).n_orbits
+
+
 def test_lift_validation():
     basis = build_orbit_basis(complete(3))
     with pytest.raises(InvalidParamsError):

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 import oracles
-from symqaoa import simulator
+from symqaoa import reduced, simulator
 from symqaoa.errors import InvalidParamsError, SizeLimitError
 from symqaoa.graphs import Graph, complete, cycle, named, star, trivial_aut_graph, wheel
 from symqaoa.reduced import ReducedEngine
 from symqaoa.schedules import (
+    BETA_MAX,
     DEPTH_CAP,
+    GAMMA_MAX,
     LinearSchedule,
     ScheduleEvaluator,
     SearchSettings,
@@ -236,6 +238,30 @@ def test_make_engine_policy():
     assert isinstance(make_engine(wheel(18)), Engine)
     assert isinstance(make_engine(trivial_aut_graph(12, 3, seed=2)), Engine)
     assert isinstance(make_engine(trivial_aut_graph(18, 3, seed=2)), Engine)
+
+
+def test_make_engine_skips_orbit_labelling_above_the_cap(monkeypatch):
+    # 2^20 bitstrings exceed REDUCED_DIM_CAP * |G| (flip counted) for both
+    # groups, so no orbit labelling is built before they go to Engine
+    def refuse(grp):
+        raise AssertionError("bitstring orbits labelled above the cap")
+
+    monkeypatch.setattr(reduced, "bitstring_orbits", refuse)
+    assert isinstance(make_engine(wheel(20)), Engine)
+    assert isinstance(make_engine(trivial_aut_graph(20, 3, seed=2)), Engine)
+
+
+@pytest.mark.parametrize("kind", [ReducedEngine, Engine], ids=["reduced", "full"])
+def test_ratio_of_same_for_float_lists_and_arrays(kind):
+    # the optimizer passes lists of floats where scipy passed float64 arrays;
+    # p = 1 hands params[0:1] and params[2:3] to the engine as they are
+    g = named("petersen") if kind is ReducedEngine else trivial_aut_graph(12, 3, seed=2)
+    ev = ScheduleEvaluator(g)
+    assert isinstance(ev.engine, kind)
+    rng = np.random.default_rng(23)
+    for p in (1, 2, 5):
+        for x in rng.random((4, 4)) * [BETA_MAX, BETA_MAX, GAMMA_MAX, GAMMA_MAX]:
+            assert ev.ratio_of(p, x.tolist()).hex() == ev.ratio_of(p, x).hex()
 
 
 def test_make_engine_reduces_star_above_16_vertices():
