@@ -4,8 +4,10 @@ minimize is the method scipy.optimize.minimize (1.17.1) runs for
 method="Nelder-Mead" with bounds, an initial simplex and xatol = inf, with its
 fixed coefficients (reflection 1, expansion 2, contraction 1/2, shrink 1/2).
 Given the same objective values it evaluates the same points in the same
-order and returns the same x, fun and nfev, so optimized schedules stay bit
-for bit what scipy gave; tests/oracles.py holds scipy's method to check it.
+order and returns the same x and nfev, and the same fun when no objective
+value is nan (scipy's fun is then nan, this the smallest value that is not
+nan); so optimized schedules stay bit for bit what scipy gave.
+tests/oracles.py holds scipy's method to check it.
 Every rounding step follows numpy's: the centroid sums the vertices in row
 order, ((x0 + x1) + x2) + x3 for N = 4, as np.add.reduce does along axis 0;
 the clip sends -0.0 to 0.0; and the vertices are ordered by np.argsort, which
@@ -71,14 +73,9 @@ def _clip(x: list, hi: list) -> list:
 
 
 def _order(sim: list, fsim: list) -> tuple[list, list]:
-    """The vertices by np.argsort(fsim). Distinct values have one sorted order,
-    which Python's sort finds faster; ties and nan go to numpy."""
-    ind = sorted(range(len(fsim)), key=fsim.__getitem__)
-    vals = [fsim[i] for i in ind]
-    if not all(a < b for a, b in zip(vals, vals[1:])):
-        ind = np.argsort(fsim).tolist()
-        vals = [fsim[i] for i in ind]
-    return [sim[i] for i in ind], vals
+    """The vertices and values in the order of np.argsort(fsim)."""
+    ind = np.argsort(fsim).tolist()
+    return [sim[i] for i in ind], [fsim[i] for i in ind]
 
 
 def _step(call, sim: list, fsim: list, hi: list) -> None:
