@@ -413,14 +413,15 @@ def cycle_counts(block: np.ndarray, squared: bool) -> tuple[np.ndarray, np.ndarr
     by one round.
     """
     m, n = block.shape
-    # global indices into the flattened block, so one 1-D gather composes rows
-    power = (block + np.arange(0, m * n, n)[:, None]).ravel()
-    local = np.tile(np.arange(n, dtype=np.uint8), m)
+    # point-major global indices: entry i*m + r is point i of row r, so one
+    # 1-D gather composes rows and the final count adds n contiguous rows
+    power = (block.T.astype(np.intp) * m + np.arange(m)).ravel()
+    local = np.repeat(np.arange(n, dtype=np.uint8), m)
     low = low2 = local
     for _ in range((n - 1).bit_length()):
         low = np.minimum(low, low[power])
         power = power[power]
         if squared:
             low2 = np.minimum(low2, low2[power])
-    c2 = (low2 == local).reshape(m, n).sum(axis=1) if squared else None
-    return (low == local).reshape(m, n).sum(axis=1), c2
+    c2 = (low2 == local).reshape(n, m).sum(axis=0) if squared else None
+    return (low == local).reshape(n, m).sum(axis=0), c2

@@ -113,41 +113,36 @@ def _deletion_average(g: Graph, gens, sets) -> tuple[float, float, float]:
     orbit of Aut(g) share ln|Aut| and the orbit count, and their vertex
     orbits are the images of each other's. Only the first set met in each
     orbit is searched. The walk over its orbit stores, for each set reached,
-    its parent and the generator that maps the parent onto it, so the
-    automorphism sigma from the searched set to any other is a product along
-    the path. The entropy sums over the sigma-images of the searched set's
-    orbits, sorted by smallest member as vertex_orbits would list them, so
-    every term, and so the mean, is what searching each set would give.
-    With no generators every set is its own orbit: the walk stops at the set
-    and no sigma is formed.
+    the searched set's measures and the automorphism sigma from the searched
+    set to it: the identity for the searched set, and g_k composed after the
+    parent's sigma when generator g_k first reaches a set. The entropy sums
+    over the sigma-images of the searched set's orbits, ordered by smallest
+    member as vertex_orbits lists them, so every term, and so the mean, is
+    what searching each set would give.
     """
     index = {e: k for k, e in enumerate(g.edges)}
     acts = [
         [index[(s[u], s[v]) if s[u] < s[v] else (s[v], s[u])] for u, v in g.edges] for s in gens
     ]
-    parent = {}  # set -> (parent set, generator index), or None if searched
-    searched = {}  # searched set -> _measures of g minus it
+    # sigma as n bytes: sigma.translate(table) is table composed after sigma
+    tables = [bytes(s) + bytes(range(g.n, 256)) for s in gens]
+    reached = {}  # set -> (measures of the searched set of its orbit, sigma)
     total = np.zeros(3)
     for deleted in sets:
-        if deleted not in parent:
+        if deleted not in reached:
             h = g.delete_edges([g.edges[k] for k in deleted])
-            searched[deleted] = _measures(h, automorphism_generators(h))
-            parent[deleted] = None
+            reached[deleted] = (_measures(h, automorphism_generators(h)), bytes(range(g.n)))
             walk = [deleted]
             for x in walk:
-                for k, act in enumerate(acts):
+                measures, sigma = reached[x]
+                for act, table in zip(acts, tables):
                     y = tuple(sorted(act[e] for e in x))
-                    if y not in parent:
-                        parent[y] = (x, k)
+                    if y not in reached:
+                        reached[y] = (measures, sigma.translate(table))
                         walk.append(y)
-        x, sigma = deleted, None
-        while parent[x] is not None:
-            x, k = parent[x]
-            sigma = gens[k] if sigma is None else tuple(sigma[v] for v in gens[k])
-        (log_aut, n_orbits, entropy), orbits = searched[x]
-        if sigma is not None:
-            entropy = graph_entropy(sorted(sorted(sigma[v] for v in a) for a in orbits), g.n)
-        total += (log_aut, n_orbits, entropy)
+        ((log_aut, n_orbits, _), orbits), sigma = reached[deleted]
+        images = sorted(orbits, key=lambda a: min(sigma[v] for v in a))
+        total += (log_aut, n_orbits, graph_entropy(images, g.n))
     mean = total / len(sets)
     return float(mean[0]), float(mean[1]), float(mean[2])
 

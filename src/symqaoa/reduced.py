@@ -9,7 +9,6 @@ for complete graphs at any n. Both assume the uniform initial state.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +34,7 @@ def symmetry_group(g: Graph, include_flip: bool = False) -> BitstringGroup:
     return BitstringGroup(automorphism_generators(g), include_flip)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuotientCount:
     """Orbit count of the group action on all 2^n bitstrings, with whichever of
     the three counting routes was feasible: averaged fixed points over elements,
@@ -46,7 +45,7 @@ class QuotientCount:
     burnside_avg: int | None
     orbit_count: int | None
     reciprocal_sum: int | None
-    fixed_counts: tuple[int, ...] | None
+    fixed_counts: np.ndarray | None  # object dtype: exact ints of any size
 
     @property
     def routes_agree(self) -> bool:
@@ -54,31 +53,36 @@ class QuotientCount:
         return len(vals) == 1
 
 
-def _burnside_tally(grp: BitstringGroup) -> tuple[tuple[int, ...], int]:
+def _burnside_tally(grp: BitstringGroup) -> tuple[np.ndarray, int]:
     """Fixed bitstrings of every element, the bit permutations in the order of
     iter_element_blocks and then, with the flip, each of them composed with
-    the flip; and their exact sum.
+    the flip, as an object array of exact ints filled block by block; and
+    their exact sum.
 
     A permutation with c cycles fixes 2^c strings. Composed with the flip, an
     odd cycle forces a bit to differ from itself, so it fixes none unless all
-    cycles are even, which is when P^2 has twice as many cycles as P.
+    cycles are even, which is when P^2 has twice as many cycles as P. At odd
+    n the cycle lengths sum to an odd number, so some cycle is odd: no
+    flipped element fixes a string, and P^2 is not walked.
     """
     n = grp.perm_group.n
+    squared = grp.include_flip and n % 2 == 0
     # 2^c for c cycles; the extra index n + 1 is a flipped element with an odd cycle
-    pow2 = [1 << c for c in range(n + 1)] + [0]
-    shared = np.array(pow2, dtype=object)  # one int object per value
-    plain, flipped = [], []
+    pow2 = np.array([1 << c for c in range(n + 1)] + [0], dtype=object)
+    counts = np.empty(grp.order(), dtype=object)
+    hist = np.zeros(n + 2, dtype=np.int64)
+    half, start = grp.perm_group.order(), 0  # the flipped elements start at half
     for block in iter_element_blocks(grp.perm_group):
-        c, c2 = cycle_counts(block, grp.include_flip)
-        plain.append(c.astype(np.uint16))
+        c, c2 = cycle_counts(block, squared)
+        end = start + len(c)
+        counts[start:end] = pow2[c]
+        hist += np.bincount(c, minlength=n + 2)
         if grp.include_flip:
-            flipped.append(np.where(2 * c == c2, c, n + 1).astype(np.uint16))
-    parts = plain + flipped
-    hist = sum(np.bincount(idx, minlength=n + 2) for idx in parts)
-    total = sum(int(h) * p for h, p in zip(hist, pow2))
-    # a tuple grown from an iterator needs no second full-length buffer
-    counts = tuple(itertools.chain.from_iterable(shared[idx].tolist() for idx in parts))
-    return counts, total
+            f = np.full(len(c), n + 1) if c2 is None else np.where(2 * c == c2, c, n + 1)
+            counts[half + start : half + end] = pow2[f]
+            hist += np.bincount(f, minlength=n + 2)
+        start = end
+    return counts, sum(int(h) * p for h, p in zip(hist, pow2))
 
 
 def quotient_dimension(grp: BitstringGroup) -> QuotientCount:

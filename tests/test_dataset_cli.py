@@ -627,6 +627,23 @@ def test_cli_symmetry_output_pinned(tmp_path, capsys):
                         "conditions_ok": True, "ok": True}
 
 
+@pytest.mark.parametrize("family, off, on", [
+    (GraphFamily("complete", {"n": 9}), (10, 362880), (5, 725760)),
+    (GraphFamily("cycle", {"n": 14}), (687, 28), (362, 56)),
+], ids=["complete-n9", "cycle-n14"])
+def test_cli_reduce_json_bytes(tmp_path, capsys, family, off, on):
+    path = tmp_path / "g.edges"
+    write_edge_list(generate(family), path)
+    capsys.readouterr()
+    assert main(["reduce", str(path), "--json"]) == 0
+    blocks = [
+        f'  "{key}": {{\n    "dim": {dim},\n    "group_order": {order},\n'
+        f'    "routes_agree": true\n  }}'
+        for key, (dim, order) in (("flip_off", off), ("flip_on", on))
+    ]
+    assert capsys.readouterr().out == "{\n" + ",\n".join(blocks) + "\n}\n"
+
+
 def test_cli_verify(tmp_path, capsys):
     path = petersen_file(tmp_path)
     capsys.readouterr()

@@ -1,8 +1,9 @@
 """Property tests: the vectorised Burnside tally and the block enumerator
 against the one-element-at-a-time oracles, on random generator sets and on
 the automorphism groups of random graphs, n <= 8, with the flip on and off;
-the searched group against a brute-force scan, n <= 6, and its order
-against Schreier-Sims on the same generators, n <= 8; relabelling
+the cycle counts of random permutation blocks, n <= 20, against a plain
+cycle walk; the searched group against a brute-force scan, n <= 6, and its
+order against Schreier-Sims on the same generators, n <= 8; relabelling
 invariance of the group order and the features; the orbit-shared
 deletion averages against one search per deletion; the reduced engine
 against the full one; the model-file, record-line and edge-list parsers
@@ -19,13 +20,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from acceptance_profile import DATASET_PATH
 from symqaoa import features, optimize
-from symqaoa.autgroup import PermGroup, automorphism_generators, bitstring_orbits, iter_elements
+from symqaoa.autgroup import (
+    PermGroup,
+    automorphism_generators,
+    bitstring_orbits,
+    cycle_counts,
+    iter_elements,
+)
 from symqaoa.cli import main
 from symqaoa.dataset import parse_record
 from symqaoa.errors import ParseError
@@ -80,9 +87,30 @@ def test_burnside_tally_matches_oracles(grp, flip):
     elements = oracles.chain_product_elements(grp)
     assert list(iter_elements(grp)) == elements
     q = quotient_dimension(BitstringGroup(grp, flip))
-    assert q.fixed_counts == oracles.burnside_fixed_counts(grp, flip)
+    assert q.fixed_counts.tolist() == list(oracles.burnside_fixed_counts(grp, flip))
     if len(elements) << grp.n <= BRUTE_BURNSIDE_STEPS:
         assert q.burnside_avg == oracles.burnside_count(grp.n, elements, flip)
+
+
+@st.composite
+def permutation_blocks(draw):
+    n = draw(st.integers(1, 20))
+    row = st.one_of(st.just(list(range(n))), st.permutations(range(n)))
+    return np.array(draw(st.lists(row, min_size=1, max_size=64)), dtype=np.uint8)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(block=permutation_blocks(), squared=st.booleans())
+@example(block=np.zeros((1, 1), dtype=np.uint8), squared=True)
+@example(block=np.arange(20, dtype=np.uint8)[None, :], squared=True)
+def test_cycle_counts_match_a_cycle_walk(block, squared):
+    c, c2 = cycle_counts(block, squared)
+    perms = block.tolist()
+    assert c.tolist() == [len(oracles.cycle_lengths(p)) for p in perms]
+    if squared:
+        assert c2.tolist() == [len(oracles.cycle_lengths([p[x] for x in p])) for p in perms]
+    else:
+        assert c2 is None
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

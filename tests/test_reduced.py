@@ -8,11 +8,11 @@ import pytest
 
 import oracles
 from acceptance_profile import DATASET_PATH
-from symqaoa import simulator
-from symqaoa.autgroup import BitstringOrbits, PermGroup
+from symqaoa import reduced, simulator
+from symqaoa.autgroup import BitstringOrbits, PermGroup, automorphism_generators, cycle_counts
 from symqaoa.dataset import load_dataset
 from symqaoa.errors import InvalidParamsError, NotInvariantError, SizeLimitError
-from symqaoa.graphs import Graph, complete, cycle, ladder, named, random_regular, wheel
+from symqaoa.graphs import Graph, complete, cycle, ladder, named, random_regular, star, wheel
 from symqaoa.reduced import (
     BitstringGroup,
     ReducedEngine,
@@ -62,6 +62,29 @@ def test_quotient_matches_brute_burnside(seed, flip):
     assert count.group_order == len(perms) * (2 if flip else 1)
     assert count.burnside_avg == count.orbit_count == count.reciprocal_sum == count.dim
     assert len(count.fixed_counts) == count.group_order
+
+
+class SquaredWalk(Exception):
+    pass
+
+
+def test_flip_at_odd_n_walks_no_square(monkeypatch):
+    # at odd n every flipped element has an odd cycle and fixes nothing, so
+    # the tally must be right without P^2; at even n it must still walk P^2
+    def no_square(block, squared):
+        if squared:
+            raise SquaredWalk
+        return cycle_counts(block, squared)
+
+    monkeypatch.setattr(reduced, "cycle_counts", no_square)
+    for g, dim in ((complete(7), 4), (complete(9), 5), (star(9), 9), (cycle(9), 23)):
+        grp = automorphism_generators(g)
+        count = quotient_dimension(BitstringGroup(grp, include_flip=True))
+        assert count.dim == dim
+        assert count.fixed_counts.tolist() == list(oracles.burnside_fixed_counts(grp, True))
+    for g in (named("petersen"), cycle(14)):
+        with pytest.raises(SquaredWalk):
+            quotient_dimension(symmetry_group(g, include_flip=True))
 
 
 def test_quotient_size_limit():
