@@ -327,9 +327,6 @@ class BitstringOrbits:
     def n_orbits(self) -> int:
         return len(self.sizes)
 
-    def members(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == k)
-
 
 def bitstring_orbits(grp: BitstringGroup) -> BitstringOrbits:
     """Orbits of all 2^n bitstrings under the group. Labels converge by
@@ -394,13 +391,6 @@ def iter_element_blocks(grp: PermGroup):
 
     for s in deep(split):
         yield inner[:, s]
-
-
-def iter_elements(grp: PermGroup):
-    """Yield every group element exactly once, as Perm tuples, in the order of
-    iter_element_blocks."""
-    for block in iter_element_blocks(grp):
-        yield from map(tuple, block.tolist())
 
 
 def cycle_counts(block: np.ndarray, squared: bool) -> tuple[np.ndarray, np.ndarray | None]:

@@ -128,7 +128,10 @@ def _train_classifiers(k: np.ndarray, y: np.ndarray, cutoffs, lams):
     K[(1/m)(p - t) + lam*alpha], whose curvature grows with ||K||. The columns
     share K, so a step is one K @ alpha product. Returns the retained cutoffs,
     the weight columns, the biases and each column's training-score spread
-    (1 where it is 0)."""
+    (1 where it is 0). The cutoffs must increase strictly: the prediction
+    searches between the first and the last."""
+    if np.any(np.diff(cutoffs) <= 0):
+        raise InvalidParamsError(f"cutoffs must increase strictly, got {tuple(cutoffs)}")
     retained = []
     for c in cutoffs:
         below = y < c
@@ -348,6 +351,8 @@ def load_model(path) -> PminPredictor:
     reg = _read_block(take, "regressor", len(means), columns=1)
     model = _read_block(take, "ensemble", len(means))
     cutoffs = tuple(take("cutoffs", len(model.bias), int))
+    if np.any(np.diff(cutoffs) <= 0):
+        raise ParseError(f"{path}:{pos}: 'cutoffs' line: values must increase strictly")
     sigmas = np.array(take("sigmas", len(model.bias), ok=_positive))
     y_min, top_class = take("y-range", 2)
     if pos < len(lines):
@@ -388,6 +393,8 @@ def _grid_search(x, y, families, seed, gammas, lams, fit_fold):
     are not scored."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if not len(gammas) or not len(lams):
+        raise InvalidParamsError(f"need non-empty grids, got gammas {gammas} and lambdas {lams}")
     if len(x) < N_FOLDS:
         raise InsufficientDataError(f"need at least {N_FOLDS} rows, got {len(x)}")
     scored = np.isfinite(y)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,19 +36,18 @@ def symmetry_group(g: Graph, include_flip: bool = False) -> BitstringGroup:
 @dataclass(frozen=True, eq=False)
 class QuotientCount:
     """Orbit count of the group action on all 2^n bitstrings, with whichever of
-    the three counting routes was feasible: averaged fixed points over elements,
-    direct orbit enumeration, and the sum of reciprocal orbit sizes."""
+    the two counting routes was feasible: averaged fixed points over elements,
+    and direct orbit enumeration."""
 
     dim: int
     group_order: int
     burnside_avg: int | None
     orbit_count: int | None
-    reciprocal_sum: int | None
     fixed_counts: np.ndarray | None  # object dtype: exact ints of any size
 
     @property
     def routes_agree(self) -> bool:
-        vals = {v for v in (self.burnside_avg, self.orbit_count, self.reciprocal_sum) if v is not None}
+        vals = {v for v in (self.burnside_avg, self.orbit_count) if v is not None}
         return len(vals) == 1
 
 
@@ -102,18 +100,8 @@ def quotient_dimension(grp: BitstringGroup) -> QuotientCount:
         if total % order:
             raise NotInvariantError("fixed-point total not divisible by group order")
         burnside_avg = total // order
-    orbit_count = None
-    reciprocal_sum = None
-    if can_orbit:
-        orbits = bitstring_orbits(grp)
-        orbit_count = orbits.n_orbits
-        # sum over every x of 1/|orbit(x)|: each x contributes the reciprocal of
-        # its own orbit size, so group the 2^n terms by orbit
-        recip = sum((Fraction(int(c)) / int(c) for c in orbits.sizes), Fraction(0))
-        if recip.denominator != 1:
-            raise NotInvariantError("reciprocal orbit-size sum is not an integer")
-        reciprocal_sum = int(recip)
-    dims = {v for v in (burnside_avg, orbit_count, reciprocal_sum) if v is not None}
+    orbit_count = bitstring_orbits(grp).n_orbits if can_orbit else None
+    dims = {v for v in (burnside_avg, orbit_count) if v is not None}
     if len(dims) != 1:
         raise NotInvariantError(f"counting routes disagree: {sorted(dims)}")
     return QuotientCount(
@@ -121,7 +109,6 @@ def quotient_dimension(grp: BitstringGroup) -> QuotientCount:
         group_order=order,
         burnside_avg=burnside_avg,
         orbit_count=orbit_count,
-        reciprocal_sum=reciprocal_sum,
         fixed_counts=fixed_counts,
     )
 

@@ -109,9 +109,11 @@ def max_cut_brute(g: Graph) -> int:
 
 
 def make_engine(g: Graph):
-    """Cheapest exact evaluator for a graph: the Hamming ladder for complete
-    graphs, the orbit basis when n <= BITSTRING_N_CAP and it has at most
-    REDUCED_DIM_CAP orbits, else the full statevector."""
+    """Exact evaluator for a graph: the Hamming ladder for complete graphs,
+    the orbit basis when n <= BITSTRING_N_CAP and it has at most
+    REDUCED_DIM_CAP orbits, else the full statevector. The rule reads the
+    dimension alone and compares no costs: at d >= 512 the orbit basis took
+    3-11x the full statevector's time per evaluation."""
     if g.n >= 2 and g.m == g.n * (g.n - 1) // 2:  # complete
         return ReducedEngine(hamming_reduced_ops(g.n))
     if g.n <= BITSTRING_N_CAP:

@@ -268,7 +268,3 @@ def probability_rows(state: StateVector):
     yield "bitstring,probability\n"
     for x in range(1 << state.n):
         yield f"{format_bitstring(x, state.n)},{float(probs[x])!r}\n"
-
-
-def probabilities_csv(state: StateVector) -> str:
-    return "".join(probability_rows(state))

@@ -268,6 +268,12 @@ def schreier_sims(n, gens) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]
     return tuple(chain.base), chain.strong_generators()
 
 
+def element_tuples(blocks):
+    """Each row of each block of image tables, as a Perm tuple, in order."""
+    for block in blocks:
+        yield from map(tuple, block.tolist())
+
+
 def chain_product_elements(grp) -> list[tuple[int, ...]]:
     """Every element of a permutation group, one at a time: the products of
     one transversal representative per level (256-byte translate tables from

@@ -1,7 +1,7 @@
 """End-to-end checks of the package's headline guarantees.
 
 Each test prints one verdict line (run with -s to see them as they pass):
-orbit invariance of the evolved state, the three orbit-counting routes,
+orbit invariance of the evolved state, the two orbit-counting routes,
 reduced-space agreement with the full simulator, the single-edge closed form,
 known feature values, the regenerated dataset's correlation signs, prediction
 quality, the symmetry-vs-depth ordering, speed budgets, and bit-exact
@@ -118,8 +118,8 @@ def test_criterion_01_orbit_invariance():
 
 def test_criterion_02_quotient_dimensions():
     # the quotient size must match the closed forms for all four group types,
-    # with the averaged-fixed-points, direct-orbit, and reciprocal-sum counts
-    # agreeing case by case
+    # with the averaged-fixed-points and direct-orbit counts agreeing case by
+    # case
     checked = 0
     bad = []
     for n in range(2, 11):
@@ -136,11 +136,11 @@ def test_criterion_02_quotient_dimensions():
         for label, grp, want in cases:
             q = quotient_dimension(grp)
             checked += 1
-            routes = (q.burnside_avg, q.orbit_count, q.reciprocal_sum)
+            routes = (q.burnside_avg, q.orbit_count)
             if q.dim != want or None in routes or not q.routes_agree:
                 bad.append(f"{label} n={n}: dim {q.dim} want {want}, routes {routes}")
     ok = not bad
-    note(2, ok, f"{checked} group cases n=2..10, three counting routes each" + ("; " + "; ".join(bad) if bad else ""))
+    note(2, ok, f"{checked} group cases n=2..10, two counting routes each" + ("; " + "; ".join(bad) if bad else ""))
     assert ok
 
 

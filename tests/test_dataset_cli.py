@@ -46,7 +46,7 @@ from symqaoa.graphs import (
 )
 from symqaoa.mlmodel import load_model
 from symqaoa.schedules import DEPTH_CAP, LinearSchedule, PminOutcome, SearchSettings
-from symqaoa.simulator import Engine, maxcut_diagonal, probabilities_csv
+from symqaoa.simulator import Engine, maxcut_diagonal, probability_rows
 
 TINY = DatasetConfig(
     families=(
@@ -558,7 +558,7 @@ def test_cli_simulate_probs_match_engine(tmp_path, capsys, graph):
                  "--probs", str(probs)]) == 0
     schedule = LinearSchedule(3, 0.3, 0.1, 0.2, 0.6)
     state = Engine(maxcut_diagonal(graph)).statevector(schedule.expand())
-    assert probs.read_bytes() == probabilities_csv(state).encode()
+    assert probs.read_bytes() == "".join(probability_rows(state)).encode()
 
 
 def test_cli_simulate_over_memory_budget(tmp_path, capsys, monkeypatch):
@@ -642,6 +642,16 @@ def test_cli_reduce_json_bytes(tmp_path, capsys, family, off, on):
         for key, (dim, order) in (("flip_off", off), ("flip_on", on))
     ]
     assert capsys.readouterr().out == "{\n" + ",\n".join(blocks) + "\n}\n"
+
+
+def test_cli_reduce_at_the_bitstring_cap(tmp_path, capsys):
+    # n = 20 is the largest n whose 2^n bitstrings are labelled, and the
+    # group is trivial, so every string is its own orbit (half, with the flip)
+    path = tmp_path / "g.edges"
+    write_edge_list(trivial_aut_graph(20, 3, seed=2), path)
+    capsys.readouterr()
+    assert main(["reduce", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == _reduce_json((1 << 20, 1), (1 << 19, 2))
 
 
 def test_cli_verify(tmp_path, capsys):

@@ -187,6 +187,30 @@ def test_ordinal_censored_labels():
         train_ordinal(x[:1], y[:1], 1.0, 1e-3)
 
 
+def test_ordinal_refuses_cutoffs_that_do_not_increase():
+    # the crossing is searched between the first and the last cutoff, so a
+    # shuffled or repeated list would bound the search wrongly
+    y = np.arange(2.0, 14.0)
+    x = y[:, None] / 4.0
+    families = [f"f{i % 3}" for i in range(len(y))]
+    for bad in ((9, 3, 11, 5, 7), (3, 5, 5, 7)):
+        with pytest.raises(InvalidParamsError, match="cutoffs must increase strictly"):
+            train_ordinal(x, y, 2.0, 1e-3, cutoffs=bad)
+        with pytest.raises(InvalidParamsError, match="cutoffs must increase strictly"):
+            cross_validate_ordinal(x, y, families, seed=1, cutoffs=bad)
+    assert train_ordinal(x, y, 2.0, 1e-3, cutoffs=(3, 5, 7, 9, 11)).cutoffs == (3, 5, 7, 9, 11)
+
+
+def test_grid_searches_refuse_an_empty_grid():
+    y = np.arange(2.0, 14.0)
+    x = y[:, None] / 4.0
+    families = [f"f{i % 3}" for i in range(len(y))]
+    for search in (cross_validate, cross_validate_ordinal):
+        for grid in ({"gammas": ()}, {"lams": ()}):
+            with pytest.raises(InvalidParamsError, match="non-empty grids"):
+                search(x, y, families, seed=1, **grid)
+
+
 def test_ordinal_quality_floor():
     # when every classifier is right about a training point, the quadratic
     # crossing should land within 1 of its depth for at least 80% of them
@@ -398,6 +422,20 @@ def test_cli_predict_rejects_non_finite_features(tmp_path, capsys, bad):
     assert main(["predict", "--model", str(path), "--features", ",".join(feats)]) == 2
     err = capsys.readouterr().err
     assert "finite" in err and "Traceback" not in err
+
+
+def test_load_model_rejects_cutoffs_that_do_not_increase(tmp_path):
+    pred, _ = build_predictor()
+    path = tmp_path / "model.txt"
+    save_model(pred, path)
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("cutoffs "))
+    values = lines[at].split()[1:]
+    for bad in (values[::-1], values[:1] * len(values)):
+        lines[at] = " ".join(["cutoffs", *bad])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf"model\.txt:{at + 1}: 'cutoffs' line: .* increase"):
+            load_model(path)
 
 
 def test_load_model_rejects_garbage(tmp_path):

@@ -64,3 +64,30 @@ def test_workloads_build_and_label(monkeypatch, tmp_path):
     op = next(op for op in ops["label-sym"] if op.name == "complete-n3")
     op.prepare()
     assert op.check(op.run()) == []
+
+
+def test_symmetry_operations_pass_their_checks_traced(monkeypatch, tmp_path):
+    # every symmetry operation, traced, on the cached graphs (seed 7) and on
+    # relabelled ones (seed 8); the quotient spans' extras are the Burnside
+    # elements walked, which do not depend on the labels
+    tracing, pkg = load_tracing(monkeypatch)
+    workloads = importlib.import_module("workloads")
+    tracer = tracing.Tracer()
+    tracer.install(pkg)
+    try:
+        for seed in (workloads.CACHE_SEED, 8):
+            ops = workloads.symmetry(pkg, workloads.Context(PERFBENCH.parent, seed, tmp_path))
+            assert len(ops) == 12
+            tracer.spans.clear()
+            tracer.enabled = True
+            try:
+                for op in ops:
+                    op.prepare()
+                    assert op.check(op.run()) == [], (seed, op.name)
+            finally:
+                tracer.enabled = False
+            quotient = [s for s in tracer.spans if s[0] == "reduced.quotient_dimension"]
+            assert len(quotient) == 8
+            assert sum(s[4] for s in quotient) == 1_210_044, seed
+    finally:
+        tracer.uninstall()

@@ -31,7 +31,7 @@ from symqaoa.autgroup import (
     automorphism_generators,
     bitstring_orbits,
     cycle_counts,
-    iter_elements,
+    iter_element_blocks,
 )
 from symqaoa.cli import main
 from symqaoa.dataset import parse_record
@@ -85,7 +85,7 @@ def graph_groups():
 @given(grp=st.one_of(generator_sets(), graph_groups()), flip=st.booleans())
 def test_burnside_tally_matches_oracles(grp, flip):
     elements = oracles.chain_product_elements(grp)
-    assert list(iter_elements(grp)) == elements
+    assert list(oracles.element_tuples(iter_element_blocks(grp))) == elements
     q = quotient_dimension(BitstringGroup(grp, flip))
     assert q.fixed_counts.tolist() == list(oracles.burnside_fixed_counts(grp, flip))
     if len(elements) << grp.n <= BRUTE_BURNSIDE_STEPS:
@@ -117,7 +117,7 @@ def test_cycle_counts_match_a_cycle_walk(block, squared):
 @given(g=graphs(n_max=6))
 def test_generators_span_every_automorphism(g):
     grp = automorphism_generators(g)
-    assert set(iter_elements(grp)) == set(oracles.brute_automorphisms(g.n, g.edges))
+    assert set(oracles.element_tuples(iter_element_blocks(grp))) == set(oracles.brute_automorphisms(g.n, g.edges))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -9,10 +9,28 @@ import pytest
 import oracles
 from acceptance_profile import DATASET_PATH
 from symqaoa import reduced, simulator
-from symqaoa.autgroup import BitstringOrbits, PermGroup, automorphism_generators, cycle_counts
+from symqaoa.autgroup import (
+    ENUMERATION_CAP,
+    BitstringOrbits,
+    PermGroup,
+    automorphism_generators,
+    bitstring_orbits,
+    cycle_counts,
+)
+from symqaoa.cli import main
 from symqaoa.dataset import load_dataset
 from symqaoa.errors import InvalidParamsError, NotInvariantError, SizeLimitError
-from symqaoa.graphs import Graph, complete, cycle, ladder, named, random_regular, star, wheel
+from symqaoa.graphs import (
+    Graph,
+    complete,
+    cycle,
+    ladder,
+    named,
+    random_regular,
+    star,
+    wheel,
+    write_edge_list,
+)
 from symqaoa.reduced import (
     BitstringGroup,
     ReducedEngine,
@@ -60,7 +78,7 @@ def test_quotient_matches_brute_burnside(seed, flip):
     assert count.dim == want
     assert count.routes_agree
     assert count.group_order == len(perms) * (2 if flip else 1)
-    assert count.burnside_avg == count.orbit_count == count.reciprocal_sum == count.dim
+    assert count.burnside_avg == count.orbit_count == count.dim
     assert len(count.fixed_counts) == count.group_order
 
 
@@ -85,6 +103,37 @@ def test_flip_at_odd_n_walks_no_square(monkeypatch):
     for g in (named("petersen"), cycle(14)):
         with pytest.raises(SquaredWalk):
             quotient_dimension(symmetry_group(g, include_flip=True))
+
+
+def test_quotient_by_burnside_alone_above_the_bitstring_cap():
+    # n = 21 is over BITSTRING_N_CAP, so the orbit labelling does not run
+    q = quotient_dimension(BitstringGroup(PermGroup(21, ()), include_flip=True))
+    assert (q.dim, q.group_order, q.burnside_avg, q.orbit_count) == (1 << 20, 2, 1 << 20, None)
+    assert len(q.fixed_counts) == 2 and q.routes_agree
+
+
+def test_quotient_by_orbits_alone_above_the_enumeration_cap():
+    # |S_12| = 12! is over ENUMERATION_CAP, so the group is not enumerated
+    for flip, dim in ((False, 13), (True, 7)):
+        q = quotient_dimension(symmetry_group(complete(12), include_flip=flip))
+        assert q.group_order == math.factorial(12) * (2 if flip else 1) > ENUMERATION_CAP
+        assert (q.dim, q.orbit_count, q.burnside_avg, q.fixed_counts) == (dim, dim, None, None)
+        assert q.routes_agree
+
+
+def test_quotient_routes_that_disagree_raise(monkeypatch, tmp_path, capsys):
+    def trivial_labelling(grp):
+        return bitstring_orbits(BitstringGroup(PermGroup(grp.perm_group.n, ())))
+
+    monkeypatch.setattr(reduced, "bitstring_orbits", trivial_labelling)
+    for flip in (False, True):
+        with pytest.raises(NotInvariantError, match="counting routes disagree"):
+            quotient_dimension(symmetry_group(cycle(6), include_flip=flip))
+    path = tmp_path / "c6.edges"
+    write_edge_list(cycle(6), path)
+    assert main(["reduce", str(path), "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "counting routes disagree" in captured.err
 
 
 def test_quotient_size_limit():

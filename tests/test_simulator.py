@@ -29,7 +29,7 @@ from symqaoa.simulator import (
     maxcut_diagonal,
     orbit_spread,
     probabilities,
-    probabilities_csv,
+    probability_rows,
 )
 
 
@@ -256,7 +256,7 @@ def test_format_bitstring_lsb_first():
 
 def test_probabilities_csv():
     state = StateVector(1, [math.sqrt(0.75), 0.5])
-    lines = probabilities_csv(state).splitlines()
+    lines = "".join(probability_rows(state)).splitlines()
     assert lines[0] == "bitstring,probability"
     assert len(lines) == 3
     rows = dict(line.split(",") for line in lines[1:])
