@@ -26,7 +26,7 @@ from .autgroup import (
 )
 from .errors import InvalidParamsError, NotInvariantError, SizeLimitError
 from .graphs import Graph
-from .simulator import CostDiagonal, StateVector, _check_memory, check_layers
+from .simulator import CostDiagonal, StateVector, _check_memory
 
 
 def symmetry_group(g: Graph, include_flip: bool = False) -> BitstringGroup:
@@ -217,16 +217,35 @@ class ReducedEngine:
         self._levels = levels.astype(np.complex128)
 
     def run(self, betas, gammas) -> np.ndarray:
-        check_layers(betas, gammas)
-        amps = self._init
-        for beta, gamma in zip(betas, gammas):
-            amps = amps * np.exp(-1j * gamma * self._levels)[self._level_of]
-            amps = self._v @ (np.exp(-1j * beta * self._w) * (self._vt @ amps))
-        return amps
+        """Amplitudes of one schedule, (d,) from betas and gammas of shape
+        (p,), or of R schedules at once, (R, d) from rows of shape (R, p).
+
+        The amplitudes are kept as columns, so each product is V times a
+        column, broadcast over the rows: numpy makes one gemv call per row,
+        the call a single schedule makes, and every row rounds as it would
+        alone (a row-major amps @ V.T would be one gemm, which does not).
+        """
+        betas = np.asarray(betas, dtype=np.float64)
+        gammas = np.asarray(gammas, dtype=np.float64)
+        if betas.shape != gammas.shape:
+            raise InvalidParamsError("betas and gammas must have equal length")
+        amps = np.broadcast_to(self._init[:, None], betas.shape[:-1] + (len(self._init), 1))
+        for beta, gamma in zip(betas.T, gammas.T):
+            phase = np.exp(np.multiply.outer(-1j * gamma, self._levels))[..., self._level_of, None]
+            mixer = np.exp(np.multiply.outer(-1j * beta, self._w))[..., None]
+            amps = self._v @ (mixer * (self._vt @ (amps * phase)))
+        return amps[..., 0]
+
+    def expectations(self, betas_rows, gammas_rows) -> list[float]:
+        """<f> of each row of schedules, as expectation gives it for that row
+        alone; one schedule (p,) gives one float."""
+        amps = self.run(betas_rows, gammas_rows)
+        probs = amps.real**2 + amps.imag**2
+        # one dot call a row, the call the 1-d product probs @ values makes
+        return np.matmul(probs[..., None, :], self.values)[..., 0].tolist()
 
     def expectation(self, betas, gammas) -> float:
-        amps = self.run(betas, gammas)
-        return float((amps.real**2 + amps.imag**2) @ self.values)
+        return self.expectations(betas, gammas)
 
 
 def lift(amplitudes: np.ndarray, basis: BitstringOrbits) -> StateVector:

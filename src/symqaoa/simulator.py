@@ -120,8 +120,9 @@ def maxcut_diagonal(g: Graph) -> CostDiagonal:
 class Engine:
     """Reusable simulator bound to one cost diagonal; buffers are allocated once
     so repeated evaluations (optimizer inner loop) do not churn memory. Not safe
-    for concurrent use of a single instance. Shares run, expectation and values
-    (the cost of every basis state) with reduced.ReducedEngine.
+    for concurrent use of a single instance. Shares run, expectation,
+    expectations and values (the cost of every basis state) with
+    reduced.ReducedEngine.
 
     A cost with f(x) = f(~x), such as every MaxCut cost, keeps a[x] = a[~x] from
     the uniform start, so only the states with the top bit clear are simulated;
@@ -201,6 +202,11 @@ class Engine:
     def expectation(self, betas, gammas) -> float:
         amps = self.run(betas, gammas)
         return float(self._unfold(amps.real**2 + amps.imag**2) @ self.values)
+
+    def expectations(self, betas_rows, gammas_rows) -> list[float]:
+        """<f> of each row of schedules, one at a time: stacked rows made
+        this engine slower at n >= 12."""
+        return [self.expectation(b, g) for b, g in zip(betas_rows, gammas_rows)]
 
 
 def probabilities(state: StateVector) -> np.ndarray:

@@ -433,6 +433,24 @@ def reduced_evolve(w, v, values, init, betas, gammas) -> np.ndarray:
     return amps
 
 
+def reduced_expectation(w, v, values, init, betas, gammas) -> tuple[np.ndarray, float]:
+    """Amplitudes and <f> by the reduced engine's single-schedule layer loop,
+    from w, v = np.linalg.eigh(mixer): V and V^T cast to C-contiguous
+    complex, the phase gathered from one exp per cost level, every product a
+    1-d matmul (one gemv) and the expectation one dot. The engine's rows must
+    each match it bit for bit."""
+    w = w.astype(np.complex128)
+    vc = np.ascontiguousarray(v).astype(np.complex128)
+    vtc = np.ascontiguousarray(v.T).astype(np.complex128)
+    levels, level_of = np.unique(values, return_inverse=True)
+    levels = levels.astype(np.complex128)
+    amps = np.asarray(init).astype(np.complex128)
+    for beta, gamma in zip(betas, gammas):
+        amps = amps * np.exp(-1j * gamma * levels)[level_of]
+        amps = vc @ (np.exp(-1j * beta * w) * (vtc @ amps))
+    return amps, float((amps.real**2 + amps.imag**2) @ values)
+
+
 def scipy_nelder_mead(fun, simplex, upper, fatol, maxfev):
     """scipy's bounded Nelder-Mead on the box [0, upper] from the given
     simplex, with xatol inf: the call schedules.optimize_linear made before

@@ -5,6 +5,8 @@ import importlib
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -91,3 +93,34 @@ def test_symmetry_operations_pass_their_checks_traced(monkeypatch, tmp_path):
             assert sum(s[4] for s in quotient) == 1_210_044, seed
     finally:
         tracer.uninstall()
+
+
+def test_label_sym_round_evaluates_the_same_rows(monkeypatch, tmp_path):
+    # the lockstep driver evaluates the points each restart visits alone, so a
+    # label-sym round at dataset seed 7 sends 13,363 schedules through
+    # ReducedEngine.run, the count of ratio_of calls when the restarts ran one
+    # by one; the records stay the cached ones
+    _, pkg = load_tracing(monkeypatch)
+    workloads = importlib.import_module("workloads")
+    ctx = workloads.Context(PERFBENCH.parent, workloads.CACHE_SEED, tmp_path)
+    ops = workloads.label_sym(pkg, ctx)
+    assert len(ops) == 12
+    engine = pkg.reduced.ReducedEngine
+    run = engine.run
+    rows = []
+
+    def counted(self, betas, gammas):
+        rows.append(len(betas) if np.ndim(betas) == 2 else 1)
+        return run(self, betas, gammas)
+
+    total = 0
+    for op in ops:
+        op.prepare()
+        monkeypatch.setattr(engine, "run", counted)
+        written = op.run()
+        monkeypatch.setattr(engine, "run", run)
+        total += sum(rows)
+        rows.clear()
+        assert op.check(written) == [], op.name
+    assert total == 13_363
+    assert ctx.quality["exact_lines"] == 12

@@ -342,6 +342,36 @@ def test_layer_angles_at_the_box_corners():
                 assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
 
 
+def _random_simplex(rng, upper, like_optimize_linear: bool) -> list:
+    """optimize_linear's simplex around a random start, or any points, some
+    outside the box and one -0.0."""
+    if like_optimize_linear:
+        x0 = [rng.random() * h for h in upper]
+        simplex = [list(x0) for _ in range(5)]
+        for j in range(4):
+            simplex[j + 1][j] += 0.15 if x0[j] + 0.15 <= upper[j] else -0.15
+    else:
+        simplex = [[rng.uniform(-1.0, h + 1.0) for h in upper] for _ in range(5)]
+        simplex[rng.randrange(5)][rng.randrange(4)] = -0.0
+    return simplex
+
+
+def _random_objective(rng, upper, digits):
+    """A weighted quadratic plus a sine, rounded to digits when digits is an
+    int; a pure function of x that is never nan."""
+    centre = [rng.random() * h for h in upper]
+    weight = [rng.uniform(0.1, 3.0) for _ in range(4)]
+    freq = rng.uniform(0.0, 5.0)
+
+    def fun(x):
+        x = [float(v) for v in x]
+        val = sum(w * (v - c) * (v - c) for w, v, c in zip(weight, x, centre))
+        val += math.sin(freq * x[0] * x[2])
+        return val if digits is None else round(val, digits)
+
+    return fun
+
+
 @st.composite
 def nelder_mead_problems(draw):
     """A box, a simplex (optimize_linear's, or any points, some outside the
@@ -351,32 +381,16 @@ def nelder_mead_problems(draw):
     maxfev cut many shrinks short."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     upper = [rng.uniform(0.5, 7.0) for _ in range(4)]
-    if draw(st.booleans()):
-        x0 = [rng.random() * h for h in upper]
-        simplex = [list(x0) for _ in range(5)]
-        for j in range(4):
-            simplex[j + 1][j] += 0.15 if x0[j] + 0.15 <= upper[j] else -0.15
-    else:
-        simplex = [[rng.uniform(-1.0, h + 1.0) for h in upper] for _ in range(5)]
-        simplex[rng.randrange(5)][rng.randrange(4)] = -0.0
-    centre = [rng.random() * h for h in upper]
-    weight = [rng.uniform(0.1, 3.0) for _ in range(4)]
-    freq = rng.uniform(0.0, 5.0)
+    simplex = _random_simplex(rng, upper, draw(st.booleans()))
+    kind = draw(st.sampled_from([None, 0, 1, 2, "drawn"]))
+    pure = _random_objective(rng, upper, None if kind == "drawn" else kind)
     drawn = [float(rng.randrange(3)) for _ in range(60)]
-    kind = draw(st.sampled_from(["smooth", 0, 1, 2, "drawn"]))
 
     def make_fun():
+        if kind != "drawn":
+            return pure
         calls = iter(drawn)
-
-        def fun(x):
-            if kind == "drawn":
-                return next(calls)
-            x = [float(v) for v in x]
-            val = sum(w * (v - c) * (v - c) for w, v, c in zip(weight, x, centre))
-            val += math.sin(freq * x[0] * x[2])
-            return val if kind == "smooth" else round(val, kind)
-
-        return fun
+        return lambda x: next(calls)
 
     return make_fun, simplex, upper
 
@@ -408,3 +422,36 @@ def test_nelder_mead_visits_scipys_points(problem, maxfev, fatol):
     assert [v.hex() for v in got.x] == [float(v).hex() for v in want.x]
     assert got.fun == want.fun
     assert got.nfev == want.nfev
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([1, 3, 8]),
+    digits=st.sampled_from([None, 0, 1, 2]),
+    maxfev=st.integers(1, 60),
+    fatol=st.sampled_from([0.0, 1e-6, 1e-2]),
+)
+def test_lockstep_runs_match_sequential_runs(seed, k, digits, maxfev, fatol):
+    # k restarts of one pure objective, as optimize_linear drives them: each
+    # must end where minimize ends it alone, and each round evaluates one
+    # point of every live restart in one call
+    rng = random.Random(seed)
+    upper = [rng.uniform(0.5, 7.0) for _ in range(4)]
+    fun = _random_objective(rng, upper, digits)
+    simplices = [_random_simplex(rng, upper, rng.random() < 0.5) for _ in range(k)]
+    batches = []
+
+    def evaluate(points):
+        batches.append(len(points))
+        return [fun(x) for x in points]
+
+    runs = [optimize.nelder_mead(s, upper, fatol, maxfev) for s in simplices]
+    got = optimize.lockstep(runs, evaluate)
+    for simplex, res in zip(simplices, got):
+        want = optimize.minimize(fun, simplex, upper, fatol, maxfev)
+        assert [v.hex() for v in res.x] == [v.hex() for v in want.x]
+        assert res.fun == want.fun
+        assert res.nfev == want.nfev
+    assert batches[0] == k and sorted(batches, reverse=True) == batches
+    assert sum(batches) == sum(res.nfev for res in got)

@@ -293,6 +293,49 @@ def test_reduced_engine_bit_identical_to_layer_oracle():
         _assert_matches_layer_oracle(ops, 12, rng)
 
 
+# the Hamming ladder, and orbit bases from d = 18 (Petersen) to 576
+ROW_IDS = ("complete-n3", "hand-picked-petersen", "cycle-n12", "cycle-n14", "grid2d-cols4-rows3")
+
+
+def test_reduced_engine_rows_bit_identical_to_single_schedule_loop():
+    # rows go through one gemv and one dot call each, as a single schedule
+    # does, so every row must round exactly as it would alone
+    records = {rec.id: rec for rec in load_dataset(DATASET_PATH)}
+    cases = [hamming_reduced_ops(n) for n in (1, 2, 7, 12)]
+    for iid in ROW_IDS:
+        g = records[iid].graph()
+        if g.m == g.n * (g.n - 1) // 2:
+            cases.append(hamming_reduced_ops(g.n))
+        else:
+            cases.append(reduce_operators(maxcut_diagonal(g), build_orbit_basis(g, include_flip=True)))
+    assert max(ops.dim for ops in cases) == 576
+    rng = random.Random(2808)
+    for ops in cases:
+        eng = ReducedEngine(ops)
+        w, v = np.linalg.eigh(ops.mixer)
+        for p in (1, 2, 5, 11):
+            for rows in (1, 2, 3, 8):
+                betas = [[rng.uniform(0.0, BETA_MAX) for _ in range(p)] for _ in range(rows)]
+                gammas = [[rng.uniform(0.0, GAMMA_MAX) for _ in range(p)] for _ in range(rows)]
+                got = eng.expectations(betas, gammas)
+                amps = eng.run(betas, gammas)
+                assert amps.shape == (rows, ops.dim) and len(got) == rows
+                for r in range(rows):
+                    want_amps, want = oracles.reduced_expectation(
+                        w, v, ops.cost_diag, ops.init, betas[r], gammas[r]
+                    )
+                    # int64 views compare every bit, signs of zero included
+                    assert np.array_equal(amps[r].view(np.int64), want_amps.view(np.int64))
+                    assert got[r] == want
+                    assert eng.expectation(betas[r], gammas[r]) == want
+
+
+def test_reduced_engine_rows_of_zero_layers_keep_their_shape():
+    eng = ReducedEngine(hamming_reduced_ops(3))
+    amps = eng.run(np.empty((2, 0)), np.empty((2, 0)))
+    assert amps.shape == (2, 4) and np.array_equal(amps[1], hamming_reduced_ops(3).init)
+
+
 def test_engines_reject_unequal_angle_lists():
     g = cycle(5)
     diag = maxcut_diagonal(g)
@@ -301,6 +344,9 @@ def test_engines_reject_unequal_angle_lists():
         for betas, gammas in (([0.1, 0.2], [0.3]), ([0.1], [0.2, 0.3])):
             with pytest.raises(InvalidParamsError, match="equal length"):
                 engine.expectation(betas, gammas)
+        # rows of unequal depth, which zip would cut to the shorter
+        with pytest.raises(InvalidParamsError, match="equal length"):
+            engine.expectations([[0.1, 0.2]], [[0.3]])
 
 
 def test_reduce_rejects_noninvariant_cost():

@@ -200,6 +200,44 @@ def test_optimizer_refuses_start_table_above_budget(monkeypatch):
     assert drawn == []
 
 
+def test_optimizer_runs_restarts_in_groups_that_fit_the_budget(monkeypatch):
+    # each live restart holds a generator and a row of the batch arrays,
+    # counted as 4096 + 96 bytes an engine value; a budget with room for two
+    # evaluates at most two points a round, and the result does not change
+    ev = ScheduleEvaluator(cycle(5))
+    batches = []
+    ratios_of = ev.ratios_of
+
+    def counted(p, points):
+        batches.append(len(points))
+        return ratios_of(p, points)
+
+    monkeypatch.setattr(ev, "ratios_of", counted)
+    want = optimize_linear(ev, p=2, restarts=5, seed=3)
+    assert max(batches) == 5
+    batches.clear()
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 2 * (4096 + 96 * len(ev.engine.values)))
+    assert optimize_linear(ev, p=2, restarts=5, seed=3) == want
+    assert batches[0] == 2 and max(batches) == 2
+    # a budget with room for none still runs the restarts one at a time
+    batches.clear()
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 64 * 5)
+    assert optimize_linear(ev, p=2, restarts=5, seed=3) == want
+    assert set(batches) == {1}
+
+
+@pytest.mark.parametrize("kind", [ReducedEngine, Engine], ids=["reduced", "full"])
+def test_ratios_of_matches_ratio_of_bit_for_bit(kind):
+    g = named("petersen") if kind is ReducedEngine else trivial_aut_graph(12, 3, seed=2)
+    ev = ScheduleEvaluator(g)
+    assert isinstance(ev.engine, kind)
+    rng = np.random.default_rng(28)
+    for p in (1, 2, 5):
+        points = (rng.random((5, 4)) * [BETA_MAX, BETA_MAX, GAMMA_MAX, GAMMA_MAX]).tolist()
+        got = ev.ratios_of(p, points)
+        assert [r.hex() for r in got] == [ev.ratio_of(p, x).hex() for x in points]
+
+
 def test_find_pmin_validation():
     with pytest.raises(InvalidParamsError):
         find_pmin(EDGE, SearchSettings(target_ratio=0.0))
