@@ -6,7 +6,10 @@ logistic classifiers whose standardized decision scores are quadratically
 fit against the cutoffs to locate the sign change. Censored depths enter the
 ensemble as the top class and are excluded from regression.
 The classifiers of one (gamma, fold) share one kernel and train together in
-one batched descent, as do the classifiers of a final ensemble.
+one batched descent, and all folds of one gamma descend together, stacked and
+zero-padded to the largest fold: padded rows are inert, so every fold's
+weights are bit-identical to its descent alone. A final ensemble is the
+one-kernel case.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .errors import (
     ParseError,
     SingularSystemError,
 )
+from .simulator import _check_memory
 
 DEFAULT_CUTOFFS = tuple(range(3, 16))
 GAMMA_GRID = (0.01, 0.1, 1.0, 10.0)
@@ -69,6 +73,8 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise InvalidParamsError(f"need rows of equal feature counts, got {a.shape} and {b.shape}")
+    # the squared distances and two temporaries of the same shape
+    _check_memory(24 * len(a) * len(b), f"a {len(a)} x {len(b)} kernel matrix")
     sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-gamma * sq)
@@ -119,42 +125,97 @@ def predict_regressor(model: KernelModel, x: np.ndarray) -> float | np.ndarray:
 
 
 def _train_classifiers(k: np.ndarray, y: np.ndarray, cutoffs, lams):
-    """Kernel logistic classifiers of "y < c", one per (lambda, c) in
-    lambda-major columns, for each cutoff c that splits y; the others are
-    dropped with a warning. Censored labels (+inf) fall above every cutoff.
-    Full-batch descent on the function values: alpha step = (1/m)(p - t) +
-    lam*alpha. The K-preconditioned step keeps the iteration stable for every
-    lam in the grid at step 0.1, unlike the raw dual gradient
-    K[(1/m)(p - t) + lam*alpha], whose curvature grows with ||K||. The columns
-    share K, so a step is one K @ alpha product. Returns the retained cutoffs,
-    the weight columns, the biases and each column's training-score spread
-    (1 where it is 0). The cutoffs must increase strictly: the prediction
-    searches between the first and the last."""
+    """The classifiers of one kernel: _train_stacked's one-kernel case."""
+    return _train_stacked([k], [y], cutoffs, lams)[0]
+
+
+def _train_stacked(kernels, labels, cutoffs, lams) -> list[tuple]:
+    """Kernel logistic classifiers of "y < c" for each kernel and its labels,
+    one per (lambda, c) in lambda-major columns, for each cutoff c that splits
+    those labels; the others are dropped with a warning. Censored labels
+    (+inf) fall above every cutoff. Full-batch descent on the function values:
+    alpha step = (1/m)(p - t) + lam*alpha. The K-preconditioned step keeps the
+    iteration stable for every lam in the grid at step 0.1, unlike the raw
+    dual gradient K[(1/m)(p - t) + lam*alpha], whose curvature grows with
+    ||K||. The columns share K, so a step is one K @ alpha product.
+
+    The kernels that keep the same cutoffs descend together: zero-padded to
+    the largest one's m rows, a step is one stacked matmul, which makes one
+    gemm call a kernel, and every entry rounds as the kernel alone would.
+    Padded rows are inert: their residual is divided by m = inf, so their
+    weights stay 0 and they add nothing to the bias sums.
+
+    Returns, for each kernel in order, its retained cutoffs, weight columns,
+    biases and each column's training-score spread (1 where it is 0). The
+    cutoffs must increase strictly: the prediction searches between the first
+    and the last."""
     if np.any(np.diff(cutoffs) <= 0):
         raise InvalidParamsError(f"cutoffs must increase strictly, got {tuple(cutoffs)}")
-    retained = []
-    for c in cutoffs:
-        below = y < c
-        if below.all() or not below.any():
-            warnings.warn(f"cutoff {c} does not split the labels; dropped", stacklevel=3)
-        else:
-            retained.append(int(c))
-    if len(retained) < 3:
-        raise DegenerateLabelsError(
-            f"only {len(retained)} cutoff(s) split the labels; need 3 for the quadratic fit"
-        )
-    targets = np.tile(y[:, None] < np.array(retained), len(lams)).astype(np.float64)
-    lam_cols = np.repeat(np.asarray(lams, dtype=np.float64), len(retained))
-    m = len(k)
-    alpha = np.zeros(targets.shape)
-    bias = np.zeros(targets.shape[1])
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, y in enumerate(labels):
+        retained = []
+        for c in cutoffs:
+            below = y < c
+            if below.all() or not below.any():
+                warnings.warn(f"cutoff {c} does not split the labels; dropped", stacklevel=4)
+            else:
+                retained.append(int(c))
+        if len(retained) < 3:
+            raise DegenerateLabelsError(
+                f"only {len(retained)} cutoff(s) split the labels; need 3 for the quadratic fit"
+            )
+        groups.setdefault(tuple(retained), []).append(i)
+    lams = np.asarray(lams, dtype=np.float64)
+    fits = [None] * len(kernels)
+    for retained, members in groups.items():
+        ks = [kernels[i] for i in members]
+        targets = [np.tile(labels[i][:, None] < np.array(retained), len(lams)) for i in members]
+        alphas, biases = _descend(ks, targets, np.repeat(lams, len(retained)))
+        for i, k, alpha, bias in zip(members, ks, alphas, biases):
+            sigmas = (k @ alpha + bias).std(axis=0)
+            fits[i] = (retained, alpha, bias, np.where(sigmas > 0, sigmas, 1.0))
+    return fits
+
+
+def _descend(kernels, targets, lam_cols):
+    """_train_stacked's descent for kernels that share their columns: each
+    kernel's weights (m, C) and biases (C,), unpadded."""
+    f, rows, cols = len(kernels), max(map(len, kernels)), len(lam_cols)
+    # the stacked kernels, and six (F, M, C) arrays: the targets, row counts
+    # and lambdas (full size, so no step broadcasts), weights, logits and step
+    _check_memory(8 * f * rows * (rows + 6 * cols), f"the descent of {f} kernel(s) of {rows} rows")
+    k = np.zeros((f, rows, rows))
+    t = np.zeros((f, rows, cols))
+    m = np.full((f, rows, cols), math.inf)
+    for i, (ki, ti) in enumerate(zip(kernels, targets)):
+        k[i, : len(ki), : len(ki)] = ki
+        t[i, : len(ki)] = ti
+        m[i, : len(ki)] = len(ki)
+    lam = np.tile(lam_cols, (f, rows, 1))
+    alpha = np.zeros((f, rows, cols))
+    bias = np.zeros((f, 1, cols))
+    z = np.empty_like(alpha)
+    step = np.empty_like(alpha)
+    bias_step = np.empty_like(bias)
     for _ in range(LOGISTIC_ITERS):
-        probs = 1.0 / (1.0 + np.exp(-(k @ alpha + bias)))
-        resid = (probs - targets) / m
-        alpha -= LOGISTIC_STEP * (resid + lam_cols * alpha)
-        bias -= LOGISTIC_STEP * resid.sum(axis=0)
-    sigmas = (k @ alpha + bias).std(axis=0)
-    return tuple(retained), alpha, bias, np.where(sigmas > 0, sigmas, 1.0)
+        # probs = 1 / (1 + exp(-(K @ alpha + bias))), then resid = (probs - t) / m
+        np.matmul(k, alpha, out=z)
+        z += bias
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+        z -= t
+        z /= m
+        # alpha -= step * (resid + lam * alpha); bias -= step * sum of resid
+        np.multiply(lam, alpha, out=step)
+        step += z
+        step *= LOGISTIC_STEP
+        alpha -= step
+        np.add.reduce(z, axis=1, keepdims=True, out=bias_step)
+        bias_step *= LOGISTIC_STEP
+        bias -= bias_step
+    return [alpha[i, : len(ki)] for i, ki in enumerate(kernels)], list(bias[:, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,11 +447,12 @@ def stratified_folds(families, n_folds: int, seed) -> list[np.ndarray]:
     return [np.flatnonzero(assignment == f) for f in range(n_folds)]
 
 
-def _grid_search(x, y, families, seed, gammas, lams, fit_fold):
+def _grid_search(x, y, families, seed, gammas, lams, fit_gamma):
     """The loop of both cross-validations: one standardizer per fold, one kernel
-    per (gamma, fold), and fit_fold(k_train, k_held, y_train, lams) giving the
-    held-out predictions, one column per lambda. Rows with y = +inf train but
-    are not scored."""
+    per (gamma, fold), and fit_gamma(folds, lams) given every fold's
+    (k_train, k_held, y_train) of one gamma, giving each fold's held-out
+    predictions, one column per lambda. Rows with y = +inf train but are not
+    scored."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if not len(gammas) or not len(lams):
@@ -410,11 +472,14 @@ def _grid_search(x, y, families, seed, gammas, lams, fit_fold):
                 std = Standardizer.fit(x[train])
                 folds.append((held, std.apply(x[train]), std.apply(x[held]), y[train]))
         for gamma in gammas:
+            kernels = [
+                (kernel_matrix(z_train, z_train, gamma),
+                 kernel_matrix(z_held, z_train, gamma), y_train)
+                for _, z_train, z_held, y_train in folds
+            ]
             preds = np.empty((len(y), len(lams)))
-            for held, z_train, z_held, y_train in folds:
-                k_train = kernel_matrix(z_train, z_train, gamma)
-                k_held = kernel_matrix(z_held, z_train, gamma)
-                preds[held] = fit_fold(k_train, k_held, y_train, lams)
+            for (held, *_), fold_preds in zip(folds, fit_gamma(kernels, lams)):
+                preds[held] = fold_preds
             for j, lam in enumerate(lams):
                 err = median_abs_err(preds[scored, j], y[scored])
                 if err < best[0]:
@@ -434,11 +499,14 @@ def cross_validate(
     error over family-stratified folds; ties keep the earliest grid entry.
     Returns (gamma, lambda, best error)."""
 
-    def fit_fold(k_train, k_held, y_train, lams):
-        fits = [_ridge_solve(k_train, y_train, lam) for lam in lams]
-        return np.column_stack([k_held @ weights + bias for weights, bias in fits])
+    def fit_gamma(folds, lams):
+        preds = []
+        for k_train, k_held, y_train in folds:
+            fits = [_ridge_solve(k_train, y_train, lam) for lam in lams]
+            preds.append(np.column_stack([k_held @ weights + bias for weights, bias in fits]))
+        return preds
 
-    return _grid_search(x, y, families, seed, gammas, lams, fit_fold)
+    return _grid_search(x, y, families, seed, gammas, lams, fit_gamma)
 
 
 def cross_validate_ordinal(
@@ -455,11 +523,15 @@ def cross_validate_ordinal(
     of the error pool; the classifiers need far less shrinkage than the ridge
     regressor, so reusing its (gamma, lambda) is not an option."""
 
-    def fit_fold(k_train, k_held, y_train, lams):
-        # every (lambda, cutoff) classifier of the fold trains in one descent
-        retained, alpha, bias, sigmas = _train_classifiers(k_train, y_train, cutoffs, lams)
-        d_z = ((k_held @ alpha + bias) / sigmas).reshape(len(k_held), len(lams), len(retained))
-        y_min, top = float(y_train[np.isfinite(y_train)].min()), float(max(retained))
-        return np.array([[_ordinal_root(d, retained, y_min, top) for d in row] for row in d_z])
+    def fit_gamma(folds, lams):
+        # the (lambda, cutoff) classifiers of all folds with equal retained cutoffs
+        # train in one stacked descent
+        fits = _train_stacked([k for k, _, _ in folds], [y for _, _, y in folds], cutoffs, lams)
+        preds = []
+        for (_, k_held, y_train), (retained, alpha, bias, sigmas) in zip(folds, fits):
+            d_z = ((k_held @ alpha + bias) / sigmas).reshape(len(k_held), len(lams), len(retained))
+            y_min, top = float(y_train[np.isfinite(y_train)].min()), float(max(retained))
+            preds.append([[_ordinal_root(d, retained, y_min, top) for d in row] for row in d_z])
+        return preds
 
-    return _grid_search(x, y, families, seed, gammas, lams, fit_fold)
+    return _grid_search(x, y, families, seed, gammas, lams, fit_gamma)

@@ -201,7 +201,8 @@ class ReducedEngine:
     vector through a C-contiguous complex copy of it, so V and V^T are cast
     here once, in that layout, and every product rounds as that per-layer
     cast did (an F-order copy would not). They take 32 d^2 bytes, 32 MB at
-    d = 1024. The phase takes one exp per distinct cost level.
+    d = 1024. One exp gives every layer's phase per distinct cost level, and
+    one more every layer's mixer eigenphases, 16 p (levels + d) bytes a row.
     """
 
     def __init__(self, ops: ReducedOperators):
@@ -229,11 +230,16 @@ class ReducedEngine:
         gammas = np.asarray(gammas, dtype=np.float64)
         if betas.shape != gammas.shape:
             raise InvalidParamsError("betas and gammas must have equal length")
+        # every layer's phase per cost level, (..., p, levels), and mixer
+        # eigenphase, (..., p, d), each in one exp
+        phases = np.multiply.outer(-1j * gammas, self._levels)
+        np.exp(phases, out=phases)
+        mixers = np.multiply.outer(-1j * betas, self._w)
+        np.exp(mixers, out=mixers)
         amps = np.broadcast_to(self._init[:, None], betas.shape[:-1] + (len(self._init), 1))
-        for beta, gamma in zip(betas.T, gammas.T):
-            phase = np.exp(np.multiply.outer(-1j * gamma, self._levels))[..., self._level_of, None]
-            mixer = np.exp(np.multiply.outer(-1j * beta, self._w))[..., None]
-            amps = self._v @ (mixer * (self._vt @ (amps * phase)))
+        for layer in range(betas.shape[-1]):
+            phase = phases[..., layer, self._level_of, None]
+            amps = self._v @ (mixers[..., layer, :, None] * (self._vt @ (amps * phase)))
         return amps[..., 0]
 
     def expectations(self, betas_rows, gammas_rows) -> list[float]:

@@ -185,8 +185,9 @@ def optimize_linear(
 
     # the restarts run in lockstep, in groups that fit the budget; each holds
     # its generator (about 3.7 KB) and its row of the batch arrays (about 96
+    # bytes an engine value) and of the per-layer exp tables (at most 32 p
     # bytes an engine value)
-    group = max(1, simulator.MEMORY_BUDGET // (4096 + 96 * len(ev.engine.values)))
+    group = max(1, simulator.MEMORY_BUDGET // (4096 + (96 + 32 * p) * len(ev.engine.values)))
     results = []
     for lo in range(0, restarts, group):
         runs = [

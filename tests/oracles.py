@@ -372,6 +372,57 @@ def logistic_fit(k, t, lam, iters, step):
     return alpha, bias
 
 
+def train_classifiers_alone(k, y, cutoffs, lams, iters, step):
+    """The ordinal ensemble's classifiers of one kernel by a descent on that
+    kernel alone, unpadded and unstacked: retained cutoffs, lambda-major weight
+    columns, biases and training-score spreads (1 where 0). The stacked descent
+    must match it bit for bit."""
+    retained = [int(c) for c in cutoffs if 0 < int((y < c).sum()) < len(y)]
+    targets = np.tile(y[:, None] < np.array(retained), len(lams)).astype(np.float64)
+    lam_cols = np.repeat(np.asarray(lams, dtype=np.float64), len(retained))
+    m = len(k)
+    alpha = np.zeros(targets.shape)
+    bias = np.zeros(targets.shape[1])
+    for _ in range(iters):
+        probs = 1.0 / (1.0 + np.exp(-(k @ alpha + bias)))
+        resid = (probs - targets) / m
+        alpha -= step * (resid + lam_cols * alpha)
+        bias -= step * resid.sum(axis=0)
+    sigmas = (k @ alpha + bias).std(axis=0)
+    return tuple(retained), alpha, bias, np.where(sigmas > 0, sigmas, 1.0)
+
+
+def per_fold_cross_validate_ordinal(x, y, families, seed, gammas, lams, cutoffs):
+    """cross_validate_ordinal as one descent per (gamma, fold), each fold
+    trained by train_classifiers_alone: (gamma, lambda, pooled held-out median
+    |err|), ties keeping the earliest grid entry."""
+    from symqaoa import mlmodel as ml
+
+    scored = np.isfinite(y)
+    best = (math.inf, None, None)
+    folds = []
+    for held in ml.stratified_folds(families, ml.N_FOLDS, seed):
+        train = np.setdiff1d(np.arange(len(y)), held)
+        std = ml.Standardizer.fit(x[train])
+        folds.append((held, std.apply(x[train]), std.apply(x[held]), y[train]))
+    for gamma in gammas:
+        preds = np.empty((len(y), len(lams)))
+        for held, z_train, z_held, y_train in folds:
+            k_train = ml.kernel_matrix(z_train, z_train, gamma)
+            k_held = ml.kernel_matrix(z_held, z_train, gamma)
+            retained, alpha, bias, sigmas = train_classifiers_alone(
+                k_train, y_train, cutoffs, lams, ml.LOGISTIC_ITERS, ml.LOGISTIC_STEP
+            )
+            d_z = ((k_held @ alpha + bias) / sigmas).reshape(len(held), len(lams), len(retained))
+            y_min, top = float(y_train[np.isfinite(y_train)].min()), float(max(retained))
+            preds[held] = [[ml._ordinal_root(d, retained, y_min, top) for d in row] for row in d_z]
+        for j, lam in enumerate(lams):
+            err = ml.median_abs_err(preds[scored, j], y[scored])
+            if err < best[0]:
+                best = (err, gamma, lam)
+    return best[1], best[2], best[0]
+
+
 def strided_evolve(values, betas, gammas) -> np.ndarray:
     """Full 2^n statevector by the strided per-qubit pair update, operation
     for operation: integer costs take their phases from a power table, each

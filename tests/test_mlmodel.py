@@ -1,19 +1,23 @@
 """Kernel models, the ordinal ensemble, metrics, and model persistence."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import oracles
+from acceptance_profile import DATASET_PATH
 from symqaoa.cli import main
+from symqaoa.dataset import SplitSpec, load_dataset, split_dataset
 from symqaoa.errors import (
     ConstantInputError,
     DegenerateLabelsError,
     InvalidParamsError,
     ParseError,
     SingularSystemError,
+    SizeLimitError,
 )
 from symqaoa.features import FEATURE_NAMES
 from symqaoa.mlmodel import (
@@ -37,6 +41,7 @@ from symqaoa.mlmodel import (
     train_ordinal,
     train_regressor,
     _train_classifiers,
+    _train_stacked,
 )
 
 
@@ -132,6 +137,91 @@ def test_batched_logistic_matches_per_classifier_oracle():
         assert np.max(np.abs(alpha[:, j] - want_w)) <= 1e-12
         assert abs(bias[j] - want_b) <= 1e-12
         assert sigmas[j] == pytest.approx((k @ want_w + want_b).std(), abs=1e-12)
+
+
+def test_stacked_descent_matches_each_kernel_trained_alone():
+    # kernels of 17, 24 and 20 rows descend together, zero-padded to 24; each
+    # must come out bit for bit as its own descent, and the 19-row kernel,
+    # whose labels keep other cutoffs, descends in a stack of its own
+    rng = np.random.default_rng(29)
+    kernels, labels = [], []
+    for rows, top in ((17, 12), (24, 12), (19, 9), (20, 12)):
+        y = rng.integers(2, top, size=rows).astype(np.float64)
+        y[rng.choice(rows, 2, replace=False)] = math.inf
+        x = y[:, None] / 4.0 + rng.normal(0.0, 0.3, size=(rows, 3))
+        x[np.isinf(y)] = rng.normal(3.0, 0.3, size=(2, 3))
+        kernels.append(kernel_matrix(x, x, 0.5))
+        labels.append(y)
+    labels[2][labels[2] > 8] = 8.0  # no finite label reaches 10
+    lams = LAMBDA_GRID[:2] + LAMBDA_GRID[-2:]
+    cutoffs = (3, 5, 7, 10)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fits = _train_stacked(kernels, labels, cutoffs, lams)
+    assert [str(w.message) for w in caught] == ["cutoff 10 does not split the labels; dropped"]
+    assert [fit[0] for fit in fits] == [(3, 5, 7, 10)] * 2 + [(3, 5, 7), (3, 5, 7, 10)]
+    for k, y, fit in zip(kernels, labels, fits):
+        want = oracles.train_classifiers_alone(k, y, cutoffs, lams, LOGISTIC_ITERS, LOGISTIC_STEP)
+        assert fit[0] == want[0]
+        for got, alone in zip(fit[1:], want[1:]):
+            assert got.shape == alone.shape and np.array_equal(got, alone)
+    # the one-kernel entry is the same descent
+    one = _train_classifiers(kernels[1], labels[1], cutoffs, lams)
+    assert all(np.array_equal(a, b) for a, b in zip(one[1:], fits[1][1:]))
+
+
+def test_stacked_descent_refuses_degenerate_folds():
+    # every fold needs 3 splitting cutoffs, as when each trained alone
+    y = np.arange(2.0, 14.0)
+    k = kernel_matrix(y[:, None], y[:, None], 0.5)
+    with pytest.warns(UserWarning, match="does not split"):
+        with pytest.raises(DegenerateLabelsError, match="only 2 cutoff"):
+            _train_stacked([k, k[:4, :4]], [y, y[:4]], (3, 4, 7, 10), (1e-3,))
+
+
+def test_cross_validate_ordinal_picks_equal_per_fold_oracle():
+    # on the cached acceptance split, stacking the folds of a gamma must leave
+    # the grid search's (gamma, lambda, error) exactly as fold-by-fold training
+    train_recs, _ = split_dataset(load_dataset(DATASET_PATH), SplitSpec())
+    x = np.array([r.features for r in train_recs])
+    y = np.array([math.inf if r.censored else float(r.p_min) for r in train_recs])
+    families = [r.family for r in train_recs]
+    for gamma in (0.01, 0.1, 1.0, 10.0):
+        got = cross_validate_ordinal(x, y, families, seed=0, gammas=(gamma,), cutoffs=(4, 7, 10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = oracles.per_fold_cross_validate_ordinal(
+                x, y, families, 0, (gamma,), LAMBDA_GRID, (4, 7, 10)
+            )
+        assert got == want
+
+
+def test_training_refuses_oversized_inputs_before_allocating():
+    # 20,000 rows: every kernel matrix, and the stack of five 16,000-row fold
+    # kernels, exceeds MEMORY_BUDGET; each refusal comes before the allocation
+    rng = np.random.default_rng(0)
+    rows = 20_000
+    x = rng.normal(size=(rows, len(FEATURE_NAMES)))
+    y = rng.integers(2, 12, size=rows).astype(np.float64)
+    families = [f"f{i % 4}" for i in range(rows)]
+    zero = np.broadcast_to(np.float64(0.0), (16_000, 16_000))  # no memory behind it
+    calls = [
+        lambda: kernel_matrix(x, x, 0.1),
+        lambda: train_ordinal(x, y, 0.1, 1e-3),
+        lambda: train_regressor(x, y, 0.1, 1e-3),
+        lambda: cross_validate(x, y, families, seed=0),
+        lambda: cross_validate_ordinal(x, y, families, seed=0),
+        lambda: _train_stacked([zero] * 5, [y[:16_000]] * 5, (4, 7, 10), LAMBDA_GRID),
+    ]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(SizeLimitError, match="GiB budget"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 def two_cluster_data():

@@ -201,9 +201,10 @@ def test_optimizer_refuses_start_table_above_budget(monkeypatch):
 
 
 def test_optimizer_runs_restarts_in_groups_that_fit_the_budget(monkeypatch):
-    # each live restart holds a generator and a row of the batch arrays,
-    # counted as 4096 + 96 bytes an engine value; a budget with room for two
-    # evaluates at most two points a round, and the result does not change
+    # each live restart holds a generator (4096 bytes) and a row of the batch
+    # arrays and exp tables (96 + 32 p bytes an engine value); a budget with
+    # room for two evaluates at most two points a round, and the result does
+    # not change
     ev = ScheduleEvaluator(cycle(5))
     batches = []
     ratios_of = ev.ratios_of
@@ -216,7 +217,8 @@ def test_optimizer_runs_restarts_in_groups_that_fit_the_budget(monkeypatch):
     want = optimize_linear(ev, p=2, restarts=5, seed=3)
     assert max(batches) == 5
     batches.clear()
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 2 * (4096 + 96 * len(ev.engine.values)))
+    budget = 2 * (4096 + (96 + 32 * 2) * len(ev.engine.values))
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", budget)
     assert optimize_linear(ev, p=2, restarts=5, seed=3) == want
     assert batches[0] == 2 and max(batches) == 2
     # a budget with room for none still runs the restarts one at a time
