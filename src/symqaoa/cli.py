@@ -261,13 +261,14 @@ def cmd_simulate(args) -> int:
     schedule = LinearSchedule(args.depth, *_parse_numbers(args.schedule, 4, "schedule"))
     ev = ScheduleEvaluator(g)
     optimum = ev.optimum
-    ratio = ev.ratio_of(schedule.p, schedule.endpoints())
+    angles = schedule.expand()
+    expect = ev.engine.expectation(angles.betas, angles.gammas)
+    ratio = expect / optimum
     if args.probs:
         engine = ev.engine if isinstance(ev.engine, Engine) else Engine(maxcut_diagonal(g))
-        state = engine.statevector(schedule.expand())
+        state = engine.statevector(angles)
         with open(args.probs, "w", encoding="utf-8") as fh:
             fh.writelines(probability_rows(state))
-    expect = ratio * optimum
     data = {"expectation": expect, "optimum_cut": optimum, "ratio": ratio}
     _emit(data, args.json, [
         f"expected cut {expect:.6f} of optimum {optimum} (ratio {ratio:.6f})",

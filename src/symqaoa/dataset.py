@@ -81,9 +81,6 @@ class InstanceRecord(SearchSettings, PminOutcome):
     def graph(self) -> Graph:
         return Graph.from_edges(self.n, self.edges)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @staticmethod
     def from_dict(data: dict) -> "InstanceRecord":
         try:
@@ -112,7 +109,7 @@ class InstanceRecord(SearchSettings, PminOutcome):
 
 def record_line(record: InstanceRecord) -> str:
     """Serialize one record as a canonical JSON line (sorted keys, no spaces)."""
-    return json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
+    return json.dumps(dataclasses.asdict(record), sort_keys=True, separators=(",", ":"))
 
 
 def parse_record(line: str) -> InstanceRecord:
@@ -273,13 +270,14 @@ def _resume_ids(path, config: DatasetConfig) -> set[str]:
             except (ParseError, UnicodeDecodeError):
                 torn = True
         settings = dataclasses.astuple(config.search)
+        names = ", ".join([f.name for f in dataclasses.fields(SearchSettings)] + ["pmin_seed"])
         for rec in records:
             stored = (*dataclasses.astuple(rec.search), rec.pmin_seed)
             wanted = (*settings, instance_seed(config.seed, rec.id, "pmin"))
             if stored != wanted:
                 raise InvalidParamsError(
-                    f"{path}: record {rec.id!r} has (target_ratio, p_start, p_cap, restarts, "
-                    f"pmin_seed) = {stored}, this run would use {wanted}"
+                    f"{path}: record {rec.id!r} has ({names}) = {stored}, "
+                    f"this run would use {wanted}"
                 )
         if torn:
             fh.truncate(len(body))

@@ -124,11 +124,6 @@ def predict_regressor(model: KernelModel, x: np.ndarray) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
-def _train_classifiers(k: np.ndarray, y: np.ndarray, cutoffs, lams):
-    """The classifiers of one kernel: _train_stacked's one-kernel case."""
-    return _train_stacked([k], [y], cutoffs, lams)[0]
-
-
 def _train_stacked(kernels, labels, cutoffs, lams) -> list[tuple]:
     """Kernel logistic classifiers of "y < c" for each kernel and its labels,
     one per (lambda, c) in lambda-major columns, for each cutoff c that splits
@@ -248,7 +243,7 @@ def train_ordinal(
     if len(finite) == 0:
         raise DegenerateLabelsError("all depths are censored; nothing to order")
     k = kernel_matrix(x, x, gamma)
-    retained, alpha, bias, sigmas = _train_classifiers(k, y, cutoffs, (lam,))
+    retained, alpha, bias, sigmas = _train_stacked([k], [y], cutoffs, (lam,))[0]
     model = KernelModel(x.copy(), alpha, float(gamma), float(lam), bias)
     return OrdinalEnsemble(retained, model, sigmas, float(finite.min()), float(max(retained)))
 

@@ -3,8 +3,8 @@
 nelder_mead is the method scipy.optimize.minimize (1.17.1) runs for
 method="Nelder-Mead" with bounds, an initial simplex and xatol = inf, with its
 fixed coefficients (reflection 1, expansion 2, contraction 1/2, shrink 1/2),
-as a generator that yields each point and is sent its value; minimize drives
-one run of it with an objective, and lockstep drives several together.
+as a generator that yields each point and is sent its value; lockstep drives
+runs of it together, and minimize is its one-run case with an objective.
 Given the same objective values it evaluates the same points in the same
 order and returns the same x and nfev, and the same fun when no objective
 value is nan (scipy's fun is then nan, this the smallest value that is not
@@ -29,16 +29,10 @@ class _BudgetSpent(Exception):
 
 
 def minimize(fun, simplex, upper, fatol: float, maxfev: int) -> SimpleNamespace:
-    """Minimize fun over the box [0, upper] from the (N+1) x N simplex by
-    driving nelder_mead. fun takes a list of N floats, which it must not
+    """Minimize fun over the box [0, upper] from the (N+1) x N simplex:
+    lockstep's one-run case. fun takes a list of N floats, which it must not
     change. Returns x (list of floats), fun and nfev."""
-    run = nelder_mead(simplex, upper, fatol, maxfev)
-    try:
-        x = next(run)
-        while True:
-            x = run.send(fun(x))
-    except StopIteration as stop:
-        return stop.value
+    return lockstep([nelder_mead(simplex, upper, fatol, maxfev)], lambda xs: [fun(xs[0])])[0]
 
 
 def lockstep(runs: list, evaluate) -> list:
@@ -56,6 +50,9 @@ def lockstep(runs: list, evaluate) -> list:
                 results[i] = stop.value
                 del live[i]
     return results
+
+
+RUN_BYTES = 4096  # bytes one suspended nelder_mead run holds at N = 4 (about 3.7 KB measured)
 
 
 def nelder_mead(simplex, upper, fatol: float, maxfev: int):

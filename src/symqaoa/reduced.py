@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import simulator
 from .autgroup import (
     BITSTRING_N_CAP,
     ENUMERATION_CAP,
@@ -244,8 +245,18 @@ class ReducedEngine:
 
     def expectations(self, betas_rows, gammas_rows) -> list[float]:
         """<f> of each row of schedules, as expectation gives it for that row
-        alone; one schedule (p,) gives one float."""
-        amps = self.run(betas_rows, gammas_rows)
+        alone; one schedule (p,) gives one float. Rows of shape (R, p) run in
+        chunks that fit MEMORY_BUDGET, at least one row a chunk: for each row,
+        run holds 96 + 32 p bytes an orbit (its batch arrays and exp tables)."""
+        betas = np.asarray(betas_rows, dtype=np.float64)
+        gammas = np.asarray(gammas_rows, dtype=np.float64)
+        chunk = max(1, simulator.MEMORY_BUDGET // ((96 + 32 * betas.shape[-1]) * len(self.values)))
+        if betas.ndim == 2 and len(betas) > chunk:
+            values = []
+            for lo in range(0, len(betas), chunk):
+                values += self.expectations(betas[lo : lo + chunk], gammas[lo : lo + chunk])
+            return values
+        amps = self.run(betas, gammas)
         probs = amps.real**2 + amps.imag**2
         # one dot call a row, the call the 1-d product probs @ values makes
         return np.matmul(probs[..., None, :], self.values)[..., 0].tolist()

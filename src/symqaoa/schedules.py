@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import optimize, simulator
+from . import optimize
 from .autgroup import BITSTRING_N_CAP
 from .errors import InvalidParamsError, SizeLimitError
 from .graphs import Graph
@@ -140,10 +140,11 @@ class ScheduleEvaluator:
         self.optimum = int(self.engine.values.max())
 
     def ratio_of(self, p: int, params) -> float:
-        return self.engine.expectation(*layer_angles(p, params)) / self.optimum
+        return self.ratios_of(p, [params])[0]
 
     def ratios_of(self, p: int, points) -> list[float]:
-        """ratio_of for each point, in one call to the engine's expectations."""
+        """Approximation ratio of the depth-p schedule of each point, in one
+        call to the engine's expectations."""
         rows = [layer_angles(p, x) for x in points]
         values = self.engine.expectations([b for b, _ in rows], [g for _, g in rows])
         return [v / self.optimum for v in values]
@@ -175,26 +176,17 @@ def optimize_linear(
     """
     _check_count("restarts", restarts)
     check_depth(p)
-    # the drawn table and its scaled copy, 4 float64 a restart each
-    _check_memory(64 * restarts, f"the start points of {restarts} restarts")
+    # the drawn table and its scaled copy (4 float64 a restart each) and one
+    # suspended run a restart; the engine sizes its own batches of points
+    need = (64 + optimize.RUN_BYTES) * restarts
+    _check_memory(need, f"the start points of {restarts} restarts")
     rng = np.random.default_rng(seed)
     starts = rng.random((restarts, 4)) * _BOX_HI
-
-    def objective(points: list) -> list[float]:
-        return [-r for r in ev.ratios_of(p, points)]
-
-    # the restarts run in lockstep, in groups that fit the budget; each holds
-    # its generator (about 3.7 KB) and its row of the batch arrays (about 96
-    # bytes an engine value) and of the per-layer exp tables (at most 32 p
-    # bytes an engine value)
-    group = max(1, simulator.MEMORY_BUDGET // (4096 + (96 + 32 * p) * len(ev.engine.values)))
-    results = []
-    for lo in range(0, restarts, group):
-        runs = [
-            optimize.nelder_mead(_initial_simplex(x0), _BOX_HI, fatol=1e-6, maxfev=500)
-            for x0 in starts[lo : lo + group]
-        ]
-        results += optimize.lockstep(runs, objective)
+    runs = [
+        optimize.nelder_mead(_initial_simplex(x0), _BOX_HI, fatol=1e-6, maxfev=500)
+        for x0 in starts
+    ]
+    results = optimize.lockstep(runs, lambda points: [-r for r in ev.ratios_of(p, points)])
     best_x = None
     best_val = -math.inf
     for res in results:

@@ -40,12 +40,19 @@ from symqaoa.graphs import (
     complete,
     cycle,
     generate,
+    named,
     read_edge_list,
     trivial_aut_graph,
     write_edge_list,
 )
 from symqaoa.mlmodel import load_model
-from symqaoa.schedules import DEPTH_CAP, LinearSchedule, PminOutcome, SearchSettings
+from symqaoa.schedules import (
+    DEPTH_CAP,
+    LinearSchedule,
+    PminOutcome,
+    ScheduleEvaluator,
+    SearchSettings,
+)
 from symqaoa.simulator import Engine, maxcut_diagonal, probability_rows
 
 TINY = DatasetConfig(
@@ -326,6 +333,17 @@ def test_generation_refuses_other_settings(tmp_path):
     assert path.read_bytes() == whole
 
 
+def test_resume_error_names_every_search_setting(tmp_path):
+    # the message lists the settings it compares, read off SearchSettings, so
+    # a new setting cannot leave it stale
+    path = tmp_path / "tiny.jsonl"
+    run_generation(dataclasses.replace(TINY, families=TINY.families[:1]), path)
+    names = [f.name for f in dataclasses.fields(SearchSettings)] + ["pmin_seed"]
+    with pytest.raises(InvalidParamsError) as caught:
+        run_generation(dataclasses.replace(TINY, p_cap=4), path)
+    assert f"({', '.join(names)}) = " in str(caught.value)
+
+
 def test_generation_parallel_matches_serial(tmp_path):
     serial = tmp_path / "serial.jsonl"
     parallel = tmp_path / "parallel.jsonl"
@@ -525,6 +543,24 @@ def test_cli_simulate_single_edge(tmp_path, capsys):
     lines = probs.read_text().splitlines()
     assert lines[0] == "bitstring,probability"
     assert len(lines) == 5
+
+
+def test_cli_simulate_reports_the_engine_expectation(tmp_path, capsys):
+    # ratio * optimum missed the engine's expectation by one bit on this
+    # schedule; the expectation is printed as the engine gives it and the
+    # ratio is divided from it, with the bits ratio_of gives
+    path = petersen_file(tmp_path)
+    capsys.readouterr()
+    x = [1.66, 1.44, 0.39, 4.03]
+    assert main(["simulate", str(path), "--depth", "3", "--schedule", ",".join(map(str, x)),
+                 "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    ev = ScheduleEvaluator(named("petersen"))
+    angles = LinearSchedule(3, *x).expand()
+    want = ev.engine.expectation(angles.betas, angles.gammas)
+    assert want != ev.ratio_of(3, x) * ev.optimum
+    assert data["expectation"].hex() == want.hex()
+    assert data["ratio"].hex() == ev.ratio_of(3, x).hex()
 
 
 @pytest.mark.parametrize("sched", ["nan,0,0,0", "0,inf,0,0", "0,0,-inf,0", "0,0,0,NaN"])

@@ -40,7 +40,6 @@ from symqaoa.mlmodel import (
     stratified_folds,
     train_ordinal,
     train_regressor,
-    _train_classifiers,
     _train_stacked,
 )
 
@@ -127,7 +126,7 @@ def test_batched_logistic_matches_per_classifier_oracle():
     k = kernel_matrix(x, x, 0.5)
     lams = LAMBDA_GRID[:2] + LAMBDA_GRID[-2:]
     with pytest.warns(UserWarning, match="cutoff 1 does not split"):
-        retained, alpha, bias, sigmas = _train_classifiers(k, y, (1, 4, 7, 10), lams)
+        retained, alpha, bias, sigmas = _train_stacked([k], [y], (1, 4, 7, 10), lams)[0]
     assert retained == (4, 7, 10)
     assert alpha.shape == (24, len(lams) * len(retained))
     for j in range(alpha.shape[1]):
@@ -165,8 +164,8 @@ def test_stacked_descent_matches_each_kernel_trained_alone():
         assert fit[0] == want[0]
         for got, alone in zip(fit[1:], want[1:]):
             assert got.shape == alone.shape and np.array_equal(got, alone)
-    # the one-kernel entry is the same descent
-    one = _train_classifiers(kernels[1], labels[1], cutoffs, lams)
+    # one kernel alone is the same descent
+    one = _train_stacked([kernels[1]], [labels[1]], cutoffs, lams)[0]
     assert all(np.array_equal(a, b) for a, b in zip(one[1:], fits[1][1:]))
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from symqaoa import reduced, simulator
+from symqaoa import optimize, reduced, simulator
 from symqaoa.errors import InvalidParamsError, SizeLimitError
 from symqaoa.graphs import Graph, complete, cycle, named, star, trivial_aut_graph, wheel
 from symqaoa.reduced import ReducedEngine
@@ -21,6 +21,7 @@ from symqaoa.schedules import (
     SearchSettings,
     approx_ratio,
     find_pmin,
+    layer_angles,
     make_engine,
     max_cut_brute,
     optimize_linear,
@@ -188,10 +189,11 @@ def test_search_settings_need_integer_counts(field, value):
 
 
 def test_optimizer_refuses_start_table_above_budget(monkeypatch):
-    # the start table and its scaled copy take 64 bytes a restart; a count
-    # above the budget is refused before the generator draws anything
+    # the start table and its scaled copy take 64 bytes a restart and each
+    # suspended run RUN_BYTES; a count above the budget is refused before the
+    # generator draws anything
     ev = ScheduleEvaluator(EDGE)
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 64 * 3)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", (64 + optimize.RUN_BYTES) * 3)
     optimize_linear(ev, p=1, restarts=3, seed=0)
     drawn = []
     monkeypatch.setattr(np.random, "default_rng", lambda *a: drawn.append(a))
@@ -200,44 +202,60 @@ def test_optimizer_refuses_start_table_above_budget(monkeypatch):
     assert drawn == []
 
 
-def test_optimizer_runs_restarts_in_groups_that_fit_the_budget(monkeypatch):
-    # each live restart holds a generator (4096 bytes) and a row of the batch
-    # arrays and exp tables (96 + 32 p bytes an engine value); a budget with
-    # room for two evaluates at most two points a round, and the result does
-    # not change
-    ev = ScheduleEvaluator(cycle(5))
-    batches = []
-    ratios_of = ev.ratios_of
+def test_reduced_expectations_run_in_chunks_that_fit_the_budget(monkeypatch):
+    # for each row, ReducedEngine.run holds 96 + 32 p bytes an orbit; a budget
+    # with room for two rows runs them in chunks of two, with the bits of one
+    # batch, and the optimizer's result does not change
+    p, restarts = 8, 3
+    ev = ScheduleEvaluator(named("petersen"))
+    engine = ev.engine
+    assert isinstance(engine, ReducedEngine)
+    rng = np.random.default_rng(30)
+    betas, gammas = rng.random((5, p)) * BETA_MAX, rng.random((5, p)) * GAMMA_MAX
+    chunks = []
+    run = engine.run
 
-    def counted(p, points):
-        batches.append(len(points))
-        return ratios_of(p, points)
+    def counted(b, g):
+        chunks.append(len(b) if np.ndim(b) == 2 else 1)
+        return run(b, g)
 
-    monkeypatch.setattr(ev, "ratios_of", counted)
-    want = optimize_linear(ev, p=2, restarts=5, seed=3)
-    assert max(batches) == 5
-    batches.clear()
-    budget = 2 * (4096 + (96 + 32 * 2) * len(ev.engine.values))
+    monkeypatch.setattr(engine, "run", counted)
+    one_batch = engine.expectations(betas, gammas)
+    assert chunks == [5]
+    chunks.clear()
+    want = optimize_linear(ev, p, restarts, seed=3)
+    assert max(chunks) == restarts
+    budget = 2 * (96 + 32 * p) * len(engine.values)
+    assert budget >= (64 + optimize.RUN_BYTES) * restarts  # the start table fits
     monkeypatch.setattr(simulator, "MEMORY_BUDGET", budget)
-    assert optimize_linear(ev, p=2, restarts=5, seed=3) == want
-    assert batches[0] == 2 and max(batches) == 2
-    # a budget with room for none still runs the restarts one at a time
-    batches.clear()
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 64 * 5)
-    assert optimize_linear(ev, p=2, restarts=5, seed=3) == want
-    assert set(batches) == {1}
+    chunks.clear()
+    got = engine.expectations(betas, gammas)
+    assert chunks == [2, 2, 1]
+    assert [v.hex() for v in got] == [v.hex() for v in one_batch]
+    chunks.clear()
+    assert optimize_linear(ev, p, restarts, seed=3) == want
+    assert max(chunks) == 2
+    # a budget with room for no row still runs one row a chunk
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", 1)
+    chunks.clear()
+    got = engine.expectations(betas, gammas)
+    assert chunks == [1] * 5
+    assert [v.hex() for v in got] == [v.hex() for v in one_batch]
 
 
 @pytest.mark.parametrize("kind", [ReducedEngine, Engine], ids=["reduced", "full"])
-def test_ratios_of_matches_ratio_of_bit_for_bit(kind):
+def test_ratios_of_matches_engine_expectation_bit_for_bit(kind):
+    # ratios_of, and ratio_of as its one-point case, give each point's
+    # expectation from the engine for that schedule alone over the optimum
     g = named("petersen") if kind is ReducedEngine else trivial_aut_graph(12, 3, seed=2)
     ev = ScheduleEvaluator(g)
     assert isinstance(ev.engine, kind)
     rng = np.random.default_rng(28)
     for p in (1, 2, 5):
         points = (rng.random((5, 4)) * [BETA_MAX, BETA_MAX, GAMMA_MAX, GAMMA_MAX]).tolist()
-        got = ev.ratios_of(p, points)
-        assert [r.hex() for r in got] == [ev.ratio_of(p, x).hex() for x in points]
+        want = [(ev.engine.expectation(*layer_angles(p, x)) / ev.optimum).hex() for x in points]
+        assert [r.hex() for r in ev.ratios_of(p, points)] == want
+        assert [ev.ratio_of(p, x).hex() for x in points] == want
 
 
 def test_find_pmin_validation():

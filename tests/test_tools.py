@@ -1,7 +1,9 @@
 """The repository tools' per-item checks, on small inputs."""
 
 import ast
+import contextlib
 import importlib.util
+import io
 import json
 import pathlib
 import re
@@ -52,3 +54,21 @@ def test_readme_caps_table_matches_code():
         if isinstance(target, ast.Name) and target.id.endswith("_CAP")
     }
     assert caps and caps <= {(module, name) for module, name, _ in rows}
+
+
+def test_readme_quick_start_runs():
+    # the python blocks of the README's library quick start run in order in
+    # one namespace (the second uses the first's g) and print what they document
+    text = (TOOLS.parent / "README.md").read_text()
+    section = text.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 2
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 5
+    log_aut, n_orbits = lines[0].split()
+    assert log_aut.startswith("4.787") and n_orbits == "1"
+    assert lines[1] == "18"
